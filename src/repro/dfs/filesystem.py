@@ -23,7 +23,7 @@ from __future__ import annotations
 import posixpath
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from repro.util.errors import NotFoundError, StorageError
 from repro.util.rng import RngStream
@@ -228,7 +228,37 @@ class MiniDfs:
             raise NotFoundError(f"no such datanode: {node_id}")
         node.latency_s = seconds
 
+    def covering_blocks(self, path: str, offset: int = 0,
+                        length: Optional[int] = None,
+                        ) -> Tuple[List[BlockInfo], int]:
+        """The blocks holding bytes ``[offset, offset + length)`` of a file.
+
+        Returns ``(blocks, skip)``: the covering blocks in file order and
+        the range's offset inside the first of them. ``length=None``
+        runs to end-of-file; the whole-file range is every block (an
+        empty file's single empty block included). This is the one
+        place a byte range maps to blocks — :meth:`read_hedged` fetches
+        exactly these and the serve tier's deadline gate prices exactly
+        these. Raises :class:`StorageError` on a range outside the file.
+        """
+        status = self.stat(path)
+        if length is None:
+            length = status.length - offset
+        if offset < 0 or length < 0 or offset + length > status.length:
+            raise StorageError(
+                f"range [{offset}, {offset + length}) is outside {path} "
+                f"({status.length} bytes)")
+        if length == status.length:
+            return status.blocks, 0
+        if length == 0:
+            return [], 0
+        first = offset // status.block_size
+        last = (offset + length - 1) // status.block_size
+        return (status.blocks[first:last + 1],
+                offset - first * status.block_size)
+
     def read_hedged(self, path: str, hedge_after_s: float = 0.03,
+                    offset: int = 0, length: Optional[int] = None,
                     ) -> HedgedRead:
         """Read with hedged requests against slow replicas.
 
@@ -241,16 +271,19 @@ class MiniDfs:
         serve tier) charges it to its own clock. Checksums still apply:
         a corrupt winner pays its latency, then falls back to the strict
         failover/read-repair path of :meth:`read`.
+
+        With ``offset``/``length`` this is a positional read (HDFS
+        ``pread``): only the :meth:`covering_blocks` of the range are
+        fetched, CRC-verified whole, hedged, read-repaired and charged
+        to ``elapsed_s``; blocks outside the range are not touched, and
+        ``data`` is exactly the requested bytes.
         """
-        path = _normalize(path)
-        status = self._files.get(path)
-        if status is None:
-            raise NotFoundError(f"no such file: {path}")
+        blocks, skip = self.covering_blocks(path, offset, length)
         parts: List[bytes] = []
         elapsed = 0.0
         launched = 0
         won = 0
-        for block in status.blocks:
+        for block in blocks:
             holders = [self.datanodes[nid] for nid in block.locations
                        if self.datanodes[nid].has(block.block_id)]
             if not holders:
@@ -275,7 +308,8 @@ class MiniDfs:
         self.hedges_launched += launched
         self.hedges_won += won
         self.hedge_wasted_reads += launched
-        return HedgedRead(data=b"".join(parts), elapsed_s=elapsed,
+        end = None if length is None else skip + length
+        return HedgedRead(data=b"".join(parts)[skip:end], elapsed_s=elapsed,
                           hedges_launched=launched, hedges_won=won,
                           wasted_reads=launched)
 

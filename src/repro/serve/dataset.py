@@ -9,20 +9,29 @@ company-lookup therefore pays a real replicated-DFS read per cache miss
 traversals run over the in-memory adjacency with a per-record simulated
 cost.
 
-Every index is a plain dict built deterministically from the part files,
-so two builds over the same crawl are identical.
+A cache-missed lookup *seeks*: the build also records each record's
+byte span inside its part (:class:`SpanIndex`), so the request reads
+only the DFS blocks covering that one line (:meth:`MiniDfs.read_hedged`
+with a range) and verifies the id it finds there. A span that no longer
+points at the record — the part was atomically re-flushed under a built
+index — falls back to scanning the whole part, and is counted.
+
+Every index is built deterministically from the part files, so two
+builds over the same crawl are identical.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.community.labelprop import label_propagation
 from repro.dfs.filesystem import HedgedRead, MiniDfs
 from repro.graph.bipartite import BipartiteGraph
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, StorageError
 
 #: the query kinds the service answers
 KIND_COMPANY = "company"
@@ -37,6 +46,67 @@ QUERY_KINDS = (KIND_COMPANY, KIND_INVESTOR, KIND_NEIGHBORHOOD,
 MAX_IDS_IN_ANSWER = 25
 
 
+class SpanIndex:
+    """id → ``(offset, length)`` of a record's line inside its part file.
+
+    Three parallel ``array('q')`` columns kept sorted by id and probed
+    by bisection: 24 bytes an entry, where a dict of tuples costs ≈150 —
+    the index has one entry per crawled company and user. ``add`` only
+    appends; the sort happens once, on the first look-up after a batch
+    of adds. When an id was added more than once the last add wins.
+    """
+
+    __slots__ = ("_columns", "_sorted")
+
+    def __init__(self, ids: Iterable[int] = (),
+                 offsets: Iterable[int] = (),
+                 lengths: Iterable[int] = ()):
+        self._columns = (array("q", ids), array("q", offsets),
+                         array("q", lengths))
+        self._sorted = False
+
+    def add(self, key: int, offset: int, length: int) -> None:
+        ids, offsets, lengths = self._columns
+        ids.append(key)
+        offsets.append(offset)
+        lengths.append(length)
+        self._sorted = False
+
+    def columns(self) -> Tuple[array, array, array]:
+        """``(ids, offsets, lengths)`` in id order — what the constructor
+        takes back, and the persisted form of the index."""
+        if not self._sorted:
+            ids = self._columns[0]
+            # stable, so equal ids keep insertion order (last add wins)
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            # swapped in as one tuple: a concurrent reader sees the old
+            # columns or the new, never a mix
+            self._columns = tuple(
+                array("q", map(column.__getitem__, order))
+                for column in self._columns)
+            self._sorted = True
+        return self._columns
+
+    def get(self, key: int) -> Optional[Tuple[int, int]]:
+        ids, offsets, lengths = self.columns()
+        at = bisect_right(ids, key) - 1
+        if at < 0 or ids[at] != key:
+            return None
+        return offsets[at], lengths[at]
+
+    def __iter__(self) -> Iterator[Tuple[int, int, int]]:
+        """``(id, offset, length)`` rows in id order."""
+        return zip(*self.columns())
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SpanIndex):
+            return NotImplemented
+        return self.columns() == other.columns()
+
+
 @dataclass
 class QueryAnswer:
     """One backend answer: the value plus its simulated cost drivers."""
@@ -44,6 +114,9 @@ class QueryAnswer:
     value: Any
     units: int                          # records/edges touched
     hedged: Optional[HedgedRead] = None  # set when a DFS read happened
+    #: the record's span was missing or stale and the whole part was
+    #: scanned instead (the service counts these in ``ServeMetrics``)
+    span_fallback: bool = False
 
 
 @dataclass
@@ -53,6 +126,9 @@ class ServeDataset:
     #: id → DFS part file holding the full record
     company_parts: Dict[int, str] = field(default_factory=dict)
     user_parts: Dict[int, str] = field(default_factory=dict)
+    #: id → byte span of the record's line inside that part file
+    company_spans: SpanIndex = field(default_factory=SpanIndex)
+    user_spans: SpanIndex = field(default_factory=SpanIndex)
     #: part path → record count (the planner's exact scan-cost table)
     part_records: Dict[str, int] = field(default_factory=dict)
     #: light per-company fields served without touching the DFS
@@ -86,19 +162,26 @@ class ServeDataset:
         ds = cls()
         edges: Set[Tuple[int, int]] = set()
 
-        for path, rec in _iter_parts(dfs, f"{angellist_root}/startups",
-                                     ds.part_records):
+        for path, rec, offset, length in _iter_parts(
+                dfs, f"{angellist_root}/startups", ds.part_records):
             cid = int(rec["id"])
+            # a scan of the part stops at the id's first line: so does
+            # the span, should a part ever hold an id twice
+            if ds.company_parts.get(cid) != path:
+                ds.company_spans.add(cid, offset, length)
             ds.company_parts[cid] = path
             ds.company_names[cid] = rec.get("name", "")
-        for path, rec in _iter_parts(dfs, f"{angellist_root}/users",
-                                     ds.part_records):
-            ds.user_parts[int(rec["id"])] = path
-        for _, rec in _iter_parts(dfs, f"{angellist_root}/investments",
-                                  ds.part_records):
+        for path, rec, offset, length in _iter_parts(
+                dfs, f"{angellist_root}/users", ds.part_records):
+            uid = int(rec["id"])
+            if ds.user_parts.get(uid) != path:
+                ds.user_spans.add(uid, offset, length)
+            ds.user_parts[uid] = path
+        for _, rec, _, _ in _iter_parts(
+                dfs, f"{angellist_root}/investments", ds.part_records):
             edges.add((int(rec["investor_id"]), int(rec["company_id"])))
-        for _, rec in _iter_parts(dfs, f"{angellist_root}/follow_edges",
-                                  ds.part_records):
+        for _, rec, _, _ in _iter_parts(
+                dfs, f"{angellist_root}/follow_edges", ds.part_records):
             src = int(rec["src_user"])
             dst = (str(rec["dst_type"]), int(rec["dst_id"]))
             ds.follows_out.setdefault(src, []).append(dst)
@@ -106,8 +189,8 @@ class ServeDataset:
         for adj in ds.follows_out.values():
             adj.sort()
 
-        for _, org in _iter_parts(dfs, crunchbase_dir, ds.part_records,
-                                  optional=True):
+        for _, org, _, _ in _iter_parts(dfs, crunchbase_dir,
+                                        ds.part_records, optional=True):
             cid = int(org["angellist_id"])
             rounds = org.get("funding_rounds", [])
             investor_ids = {int(i) for r in rounds
@@ -130,11 +213,11 @@ class ServeDataset:
 
         likes: Dict[int, int] = {}
         tweets: Dict[int, Tuple[int, int]] = {}
-        for _, page in _iter_parts(dfs, facebook_dir, ds.part_records,
-                                   optional=True):
+        for _, page, _, _ in _iter_parts(dfs, facebook_dir,
+                                         ds.part_records, optional=True):
             likes[int(page["angellist_id"])] = int(page.get("fan_count", 0))
-        for _, prof in _iter_parts(dfs, twitter_dir, ds.part_records,
-                                   optional=True):
+        for _, prof, _, _ in _iter_parts(dfs, twitter_dir,
+                                         ds.part_records, optional=True):
             tweets[int(prof["angellist_id"])] = (
                 int(prof.get("statuses_count", 0)),
                 int(prof.get("followers_count", 0)))
@@ -218,6 +301,15 @@ class ServeDataset:
             return self.user_parts.get(key)
         return None
 
+    def dfs_span_for(self, kind: str, key: int,
+                     ) -> Optional[Tuple[int, int]]:
+        """``(offset, length)`` of the record inside that part, if known."""
+        if kind == KIND_COMPANY:
+            return self.company_spans.get(key)
+        if kind == KIND_INVESTOR:
+            return self.user_spans.get(key)
+        return None
+
     def run(self, kind: str, key: int, dfs: MiniDfs, depth: int = 1,
             hedge_after_s: float = 0.03) -> QueryAnswer:
         """Execute one query against the indexes (and DFS if needed)."""
@@ -239,17 +331,34 @@ class ServeDataset:
         raise ConfigError(f"unknown query kind {kind!r}; "
                           f"expected one of {QUERY_KINDS}")
 
-    def _read_record(self, part: str, key: int, dfs: MiniDfs,
-                     hedge_after_s: float) -> Tuple[Optional[Dict],
-                                                    HedgedRead]:
-        hedged = dfs.read_hedged(part, hedge_after_s=hedge_after_s)
-        for line in hedged.data.decode("utf-8").splitlines():
-            if not line:
-                continue
-            rec = json.loads(line)
-            if int(rec.get("id", -1)) == key:
-                return rec, hedged
-        return None, hedged
+    @staticmethod
+    def _read_record(part: str, span: Optional[Tuple[int, int]], key: int,
+                     dfs: MiniDfs, hedge_after_s: float,
+                     ) -> Tuple[Optional[Dict], HedgedRead, bool]:
+        """Seek to the record; ``(record, read, fell back to a scan)``.
+
+        The ranged read fetches (and CRC-verifies) only the blocks that
+        cover the record's span, and the line found there must carry
+        the requested id. Anything else means the part was re-flushed
+        under this index — the whole part is scanned instead, and the
+        caller is told so it can count the fallback.
+        """
+        seek = None
+        if span is not None:
+            try:
+                seek = dfs.read_hedged(part, hedge_after_s, *span)
+                rec = json.loads(seek.data.decode("utf-8"))
+                if int(rec["id"]) == key:
+                    return rec, seek, False
+            except (StorageError, ValueError, KeyError, TypeError):
+                pass    # span past the end, or not this record's line
+        rec, scan = scan_part_for(dfs, part, key, hedge_after_s)
+        if seek is not None:    # the failed seek was paid for too
+            scan.elapsed_s += seek.elapsed_s
+            scan.hedges_launched += seek.hedges_launched
+            scan.hedges_won += seek.hedges_won
+            scan.wasted_reads += seek.wasted_reads
+        return rec, scan, True
 
     def _run_company(self, key: int, dfs: MiniDfs,
                      hedge_after_s: float) -> QueryAnswer:
@@ -257,7 +366,8 @@ class ServeDataset:
         if part is None:
             return QueryAnswer(value={"company_id": key, "known": False},
                                units=1)
-        rec, hedged = self._read_record(part, key, dfs, hedge_after_s)
+        rec, hedged, fell_back = self._read_record(
+            part, self.company_spans.get(key), key, dfs, hedge_after_s)
         rounds, round_investors = self.funding.get(key, (0, 0))
         value = {
             "company_id": key,
@@ -269,7 +379,7 @@ class ServeDataset:
             "followers": self.follower_counts.get(("startup", key), 0),
         }
         return QueryAnswer(value=value, units=self.part_records[part],
-                           hedged=hedged)
+                           hedged=hedged, span_fallback=fell_back)
 
     def _run_investor(self, key: int, dfs: MiniDfs,
                       hedge_after_s: float) -> QueryAnswer:
@@ -277,7 +387,8 @@ class ServeDataset:
         if part is None:
             return QueryAnswer(value={"user_id": key, "known": False},
                                units=1)
-        rec, hedged = self._read_record(part, key, dfs, hedge_after_s)
+        rec, hedged, fell_back = self._read_record(
+            part, self.user_spans.get(key), key, dfs, hedge_after_s)
         portfolio = self.portfolio.get(key, [])
         value = {
             "user_id": key,
@@ -290,7 +401,8 @@ class ServeDataset:
             "followers": self.follower_counts.get(("user", key), 0),
         }
         units = self.part_records[part] + len(portfolio)
-        return QueryAnswer(value=value, units=units, hedged=hedged)
+        return QueryAnswer(value=value, units=units, hedged=hedged,
+                           span_fallback=fell_back)
 
     def _traverse(self, key: int, depth: int) -> Tuple[Dict, int]:
         """BFS over follow edges from a user, ``depth`` hops out."""
@@ -354,18 +466,42 @@ class ServeDataset:
         raise ConfigError(f"unknown query kind {kind!r}")
 
 
+def scan_part_for(dfs: MiniDfs, part: str, key: int,
+                  hedge_after_s: float = 0.03,
+                  ) -> Tuple[Optional[Dict], HedgedRead]:
+    """Read a whole part and decode line after line until the id matches.
+
+    What every look-up did before the span index; now the stale-span
+    guard, and the oracle the span tests compare against.
+    """
+    hedged = dfs.read_hedged(part, hedge_after_s=hedge_after_s)
+    for line in hedged.data.decode("utf-8").splitlines():
+        if not line:
+            continue
+        rec = json.loads(line)
+        if int(rec.get("id", -1)) == key:
+            return rec, hedged
+    return None, hedged
+
+
 def _iter_parts(dfs: MiniDfs, directory: str,
                 part_records: Dict[str, int], optional: bool = False):
-    """Yield (part_path, record) over a dataset, counting records/part."""
+    """Yield (part_path, record, offset, length) over a dataset, counting
+    records/part. ``offset``/``length`` are the record line's byte span
+    inside the part, newline excluded."""
     parts = dfs.glob_parts(directory)
     if not parts and not optional:
         raise ConfigError(f"no part files under {directory}; "
                           f"run the crawl before building serve indexes")
     for path in parts:
         count = 0
-        for line in dfs.read_text(path).splitlines():
-            if not line:
-                continue
-            count += 1
-            yield path, json.loads(line)
+        offset = 0
+        # bytes split on "\n" only: str.splitlines() also breaks on
+        # other separators, which would shift every later offset
+        for line in dfs.read(path).split(b"\n"):
+            length = len(line)
+            if length:
+                count += 1
+                yield path, json.loads(line.decode("utf-8")), offset, length
+            offset += length + 1
         part_records[path] = count

@@ -171,6 +171,10 @@ class ServeMetrics:
         #: every autoscaler decision, in order:
         #: (sim_time, shard_id, action, replicas_after, reason)
         self.scaling_decisions: List[Tuple] = []
+        #: look-ups whose record span was missing or stale (the part was
+        #: re-flushed under the built index) and that scanned the whole
+        #: part instead of seeking
+        self.span_fallbacks = 0
 
     def counters(self, priority: str) -> ClassCounters:
         counters = self.per_class.get(priority)
@@ -235,6 +239,9 @@ class ServeMetrics:
         counters.hedges_launched += launched
         counters.hedges_won += won
         counters.hedge_wasted_reads += wasted
+
+    def record_span_fallback(self) -> None:
+        self.span_fallbacks += 1
 
     def record_health_transition(self, sim_time: float, old: str,
                                  new: str) -> None:
@@ -361,7 +368,7 @@ class ServeMetrics:
     # ------------------------------------------------------------ snapshot
     def snapshot(self) -> Dict:
         """A stable, JSON-able view; identical across same-seed runs."""
-        return {
+        snapshot = {
             "per_class": {cls: self.per_class[cls].as_dict()
                           for cls in PRIORITY_CLASSES},
             "totals": {
@@ -385,6 +392,11 @@ class ServeMetrics:
                        for s in sorted(self.per_shard)},
             "scaling": [list(d) for d in self.scaling_decisions],
         }
+        if self.span_fallbacks:
+            # absent while zero: a run over an index that matches its
+            # parts snapshots byte-for-byte as it did before the counter
+            snapshot["span_fallbacks"] = self.span_fallbacks
+        return snapshot
 
     def to_json(self, indent: int = None) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)

@@ -45,7 +45,7 @@ from repro.serve.metrics import (ANSWERED_STATUSES, STATUS_CACHED,
                                  STATUS_SHED_QUEUE, STATUS_STALE,
                                  STATUS_SUMMARY, ServeMetrics)
 from repro.util.clock import Clock, SimClock
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, NotFoundError, StorageError
 
 
 @dataclass
@@ -290,6 +290,8 @@ class QueryService:
                                   depth=request.depth,
                                   hedge_after_s=cfg.hedge_after_s)
         cost = cfg.base_cost_s + answer.units * cfg.unit_cost_s + pad
+        if answer.span_fallback:
+            self.metrics.record_span_fallback()
         if answer.hedged is not None:
             cost += answer.hedged.elapsed_s
             self.metrics.record_hedges(request.priority,
@@ -336,21 +338,30 @@ class QueryService:
                            service_s=round(cost, 9), started_s=start_s)
 
     def _dfs_latency_bound(self, request: ServeRequest) -> float:
-        """Upper bound on the hedged-read time of a query's DFS part.
+        """Upper bound on the hedged-read time of a query's DFS read.
 
-        The primary replica's latency bounds the hedged read from above
-        (a launched hedge only ever *lowers* the block time), so the
-        deadline gate can rely on it without reading anything.
+        Prices the blocks the query will read — the ones covering the
+        record's span, from the same :meth:`MiniDfs.covering_blocks` the
+        ranged read uses. The primary replica's latency bounds each
+        block from above (a launched hedge only ever *lowers* the block
+        time), so the deadline gate can rely on it without reading
+        anything.
         """
         part = self.dataset.dfs_part_for(request.kind, request.key)
         if part is None:
             return 0.0
+        offset, length = self.dataset.dfs_span_for(
+            request.kind, request.key) or (0, None)
         try:
-            status = self.dfs.stat(part)
-        except Exception:
+            blocks, _ = self.dfs.covering_blocks(part, offset, length)
+        except NotFoundError:
             return 0.0
+        except StorageError:
+            # span past the end of a re-flushed part: the look-up will
+            # fall back to scanning the whole part
+            blocks = self.dfs.stat(part).blocks
         bound = 0.0
-        for block in status.blocks:
+        for block in blocks:
             for node_id in block.locations:
                 node = self.dfs.datanodes[node_id]
                 if node.has(block.block_id):

@@ -49,7 +49,7 @@ from repro.serve.autoscale import AutoscaleConfig, Autoscaler
 from repro.serve.dataset import (KIND_COMMUNITY, KIND_COMPANY,
                                  KIND_ENGAGEMENT, KIND_INVESTOR,
                                  KIND_NEIGHBORHOOD, MAX_IDS_IN_ANSWER,
-                                 ServeDataset)
+                                 ServeDataset, SpanIndex)
 from repro.serve.health import (EVENT_DEGRADED, EVENT_OK, HealthMonitor)
 from repro.serve.metrics import (SHARD_DEAD, SHARD_DEADLINE, SHARD_OK,
                                  SHARD_PARTITIONED, STATUS_CACHED,
@@ -143,6 +143,12 @@ def split_dataset(dataset: ServeDataset,
         shards[shard_of(cid, num_shards)].engagement[cid] = row
     for uid, part in dataset.user_parts.items():
         shards[shard_of(uid, num_shards)].user_parts[uid] = part
+    for cid, offset, length in dataset.company_spans:
+        shards[shard_of(cid, num_shards)].company_spans.add(
+            cid, offset, length)
+    for uid, offset, length in dataset.user_spans:
+        shards[shard_of(uid, num_shards)].user_spans.add(
+            uid, offset, length)
     for uid, companies in dataset.portfolio.items():
         shards[shard_of(uid, num_shards)].portfolio[uid] = companies
     for uid, adj in dataset.follows_out.items():
@@ -161,6 +167,10 @@ def split_dataset(dataset: ServeDataset,
 def shard_index_json(shard: ServeDataset) -> str:
     """Deterministic JSON codec for persisting one shard's index."""
     payload = {
+        "company_spans": [list(column) for column
+                          in shard.company_spans.columns()],
+        "user_spans": [list(column) for column
+                       in shard.user_spans.columns()],
         "company_parts": {str(k): v
                           for k, v in shard.company_parts.items()},
         "company_names": {str(k): v
@@ -195,6 +205,8 @@ def shard_index_from_json(text: str) -> ServeDataset:
     shard.backers = {int(k): v for k, v in raw["backers"].items()}
     shard.engagement = {int(k): v for k, v in raw["engagement"].items()}
     shard.user_parts = {int(k): v for k, v in raw["user_parts"].items()}
+    shard.company_spans = SpanIndex(*raw["company_spans"])
+    shard.user_spans = SpanIndex(*raw["user_spans"])
     shard.portfolio = {int(k): v for k, v in raw["portfolio"].items()}
     shard.follows_out = {
         int(k): [(e[0], e[1]) for e in v]
@@ -757,6 +769,8 @@ class ShardedQueryService(QueryService):
         if op in (KIND_COMPANY, KIND_INVESTOR, KIND_ENGAGEMENT):
             answer = data.run(op, keys[0], self.dfs,
                               hedge_after_s=cfg.hedge_after_s)
+            if answer.span_fallback:
+                self.metrics.record_span_fallback()
             return answer.value, answer.units, answer.hedged
         if op == "community_label":
             return data.community_of.get(keys[0]), 1, None

@@ -8,11 +8,14 @@ many test modules read from it without mutating it.
 from __future__ import annotations
 
 import faulthandler
+import json
 import os
 
 import pytest
 
 from repro.core.platform import ExploratoryPlatform
+from repro.dfs.filesystem import MiniDfs
+from repro.dfs.jsonlines import JsonLinesWriter
 from repro.graph.bipartite import BipartiteGraph
 from repro.world.config import WorldConfig
 from repro.world.generator import World, generate_world
@@ -75,3 +78,43 @@ def investor_graph(crawled_platform) -> BipartiteGraph:
 def fresh_world() -> World:
     """A small world safe to mutate (dynamics tests)."""
     return generate_world(WorldConfig.tiny(seed=23))
+
+
+@pytest.fixture()
+def small_crawl():
+    """A hand-written AngelList crawl on its own small-block DFS.
+
+    Safe to mutate (the stale-span tests rewrite parts). Three startup
+    parts and two user parts of several 96-byte blocks each; names mix
+    plain ASCII, ``\\u``-escaped text (the writer's ``ensure_ascii``)
+    and, in a part written raw, multi-byte UTF-8 — so a byte offset and
+    a character offset disagree.
+    """
+    dfs = MiniDfs(num_datanodes=3, block_size=96, replication=2)
+    root = "/crawl/angellist"
+    startups = [{"id": 100 + i,
+                 "name": f"Café ☃ {i}" if i % 3 == 0
+                 else f"plain-{i}",
+                 "pitch": "p" * (i * 7 % 40)} for i in range(16)]
+    with JsonLinesWriter(dfs, f"{root}/startups",
+                         records_per_part=8) as writer:
+        writer.write_all(startups)
+    raw = [{"id": 200 + i, "name": f"Zoë ☃ n°{i}",
+            "pitch": "q" * i} for i in range(6)]
+    dfs.create_text(
+        f"{root}/startups/part-00002.jsonl",
+        "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n"
+                for r in raw))
+    users = [{"id": 1000 + i, "name": f"Renée {i}", "bio": "b" * i}
+             for i in range(12)]
+    with JsonLinesWriter(dfs, f"{root}/users", records_per_part=6) as writer:
+        writer.write_all(users)
+    with JsonLinesWriter(dfs, f"{root}/investments") as writer:
+        writer.write_all([{"investor_id": 1000 + i % 12,
+                           "company_id": 100 + i % 16}
+                          for i in range(40)])
+    with JsonLinesWriter(dfs, f"{root}/follow_edges") as writer:
+        writer.write_all([{"src_user": 1000 + i % 12, "dst_type": "user",
+                           "dst_id": 1000 + (i * 5 + 1) % 12}
+                          for i in range(30)])
+    return dfs

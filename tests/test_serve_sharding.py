@@ -7,14 +7,16 @@ import pytest
 from repro.net.faults import (FAULT_KILL_SHARD, FAULT_PARTITION_SHARD,
                               FAULT_SLOW_REPLICA, FaultSchedule)
 from repro.serve.autoscale import REASON_DEAD, AutoscaleConfig
+from repro.serve.dataset import ServeDataset
 from repro.serve.loadgen import LoadProfile, generate_schedule, replay
 from repro.serve.metrics import (SHARD_DEAD, SHARD_OK, SHARD_PARTITIONED,
                                  STATUS_FRESH, STATUS_PARTIAL)
 from repro.serve.service import ServeConfig, ServeRequest
-from repro.serve.sharding import (ShardConfig, kill_target,
-                                  partition_target, shard_index_from_json,
-                                  shard_index_json, shard_of,
-                                  slow_replica_target, split_dataset)
+from repro.serve.sharding import (ShardConfig, ShardedQueryService,
+                                  kill_target, partition_target,
+                                  shard_index_from_json, shard_index_json,
+                                  shard_of, slow_replica_target,
+                                  split_dataset)
 
 NUM_SHARDS = 4
 
@@ -67,6 +69,19 @@ class TestSplitDataset:
             assert all(shard_of(u, NUM_SHARDS) == sid
                        for u in shard.user_parts)
 
+    def test_spans_follow_their_keys(self, dataset):
+        shards = split_dataset(dataset, NUM_SHARDS)
+        for parts, spans in (("company_parts", "company_spans"),
+                             ("user_parts", "user_spans")):
+            assert sum(len(getattr(s, spans)) for s in shards) \
+                == len(getattr(dataset, spans))
+            for shard in shards:
+                assert len(getattr(shard, spans)) \
+                    == len(getattr(shard, parts))
+                for key in getattr(shard, parts):
+                    assert getattr(shard, spans).get(key) \
+                        == getattr(dataset, spans).get(key)
+
     def test_community_members_shard_by_member(self, dataset):
         shards = split_dataset(dataset, NUM_SHARDS)
         for label, members in dataset.community_members.items():
@@ -89,6 +104,9 @@ class TestSplitDataset:
         assert back.follower_counts == shard.follower_counts
         assert back.community_of == shard.community_of
         assert back.community_members == shard.community_members
+        assert back.company_spans == shard.company_spans
+        assert back.user_spans == shard.user_spans
+        assert len(back.company_spans) == len(shard.company_parts) > 0
         # codec output itself is deterministic
         assert shard_index_json(shard) == shard_index_json(back)
 
@@ -124,6 +142,45 @@ class TestOracleEquality:
         service = _service(crawled_platform)
         for server in service.servers:
             assert crawled_platform.dfs.exists(server.index_path)
+
+    def test_replica_booted_from_dfs_seeks_and_matches_unsharded(
+            self, crawled_platform, dataset):
+        dfs = crawled_platform.dfs
+        service = _service(crawled_platform)
+        for server in service.servers:
+            booted = shard_index_from_json(dfs.read_text(server.index_path))
+            assert booted.company_spans == server.data.company_spans
+            assert booted.user_spans == server.data.user_spans
+            for kind, keys in (("company", sorted(booted.company_parts)),
+                               ("investor", sorted(booted.portfolio))):
+                for key in keys[::max(1, len(keys) // 25)]:
+                    got = booted.run(kind, key, dfs)
+                    want = dataset.run(kind, key, dfs)
+                    assert json.dumps(got.value, sort_keys=True) \
+                        == json.dumps(want.value, sort_keys=True)
+                    assert got.units == want.units
+                    assert not got.span_fallback
+                    assert got.hedged.data == want.hedged.data
+                    assert len(got.hedged.data) \
+                        < dfs.stat(booted.dfs_part_for(kind, key)).length
+        assert service.metrics.span_fallbacks == 0
+
+    def test_stale_part_falls_back_and_is_counted(self, small_crawl):
+        dataset = ServeDataset.build(small_crawl)
+        want = dataset.run("company", 103, small_crawl).value
+        service = ShardedQueryService(
+            dataset, small_crawl,
+            shard_config=ShardConfig(num_shards=NUM_SHARDS, replicas=2))
+        part = dataset.company_parts[103]
+        lines = small_crawl.read(part).split(b"\n")[:-1]
+        small_crawl.write_atomic(part, b"\n".join(reversed(lines)) + b"\n")
+        result = service.handle(ServeRequest(kind="company", key=103))
+        assert result.status == STATUS_FRESH
+        assert result.value == want
+        assert service.metrics.span_fallbacks == 1
+        untouched = service.handle(ServeRequest(kind="investor", key=1003))
+        assert untouched.value["record"]["id"] == 1003
+        assert service.metrics.span_fallbacks == 1
 
 
 class TestKillMatrix:

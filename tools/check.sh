@@ -91,6 +91,14 @@ echo "== benchmark smoke (standing-query alerting) =="
 with_timeout python benchmarks/bench_a11_alerting.py \
     --smoke --json benchmarks/out/BENCH_alerting.json
 
+echo "== e2e benchmark harness (smoke) =="
+# the repo benchmark (BENCHMARK.json) at --smoke sizes, about a minute:
+# a change under src/ that breaks a workload's output check — sharded
+# answers vs the unsharded dataset, digests, failed/attempted — fails
+# here, before the benchmark driver ever runs
+with_timeout python -m pytest -q -p no:cacheprovider \
+    benchmarks/e2e/test_bench_e2e.py
+
 echo "== verify benchmark artifacts =="
 # a bench that silently wrote nothing must fail the gate here, not
 # vanish from the merged summary
