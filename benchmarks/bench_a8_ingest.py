@@ -8,7 +8,9 @@ an uninterrupted run produces — no lost records, no duplicated ones,
 no stranded leases. A second measurement pins the incremental-recompute
 claim: the delta-aware derived-dataset maintenance engine-scans each
 source record at most once over the run's lifetime, where a daily full
-rebuild scans the whole corpus every day.
+rebuild scans the whole corpus every day. A third pins landing cost:
+the data-file reads of an ingest day are bounded by the deltas that day
+landed, flat in the length of the chain behind them.
 
 Run standalone this writes the ``BENCH_ingest.json`` perf-trajectory
 file that ``tools/check.sh`` produces for every PR::
@@ -20,6 +22,7 @@ file that ``tools/check.sh`` produces for every PR::
 import argparse
 import json
 import os
+import posixpath
 import time
 
 import pytest
@@ -34,6 +37,9 @@ from repro.world.generator import generate_world
 SCALE = 0.002
 SEED = 7
 DAYS = 3
+#: the landing-cost run is longer than the drill: a per-day cost that
+#: grows with the chain needs a chain to show on
+LANDING_DAYS = 6
 #: the day whose units the drill kills (its work is mid-stream: day 1
 #: already committed, day 3 still ahead)
 KILL_DAY = 2
@@ -97,6 +103,47 @@ def _raw_source_records(scheduler):
                for path in ds.live_files())
 
 
+def _landing_reads(days=LANDING_DAYS):
+    """Per ingest day of a fault-free run: ``MiniDfs.read`` calls on
+    dataset data files (``MANIFEST.json`` and the ledger are excluded by
+    name) next to the delta files that day landed."""
+    platform = _platform()
+    try:
+        scheduler = platform.ingest_pipeline()
+        dfs = scheduler.dfs
+        reads = []
+        real_read = dfs.read
+
+        def counting_read(path):
+            if path.startswith("/ingest/") and posixpath.basename(
+                    path).startswith(("base-", "delta-")):
+                reads.append(path)
+            return real_read(path)
+
+        dfs.read = counting_read
+        rows = []
+        landed_before = 0
+        for day in range(1, days + 1):
+            del reads[:]
+            scheduler.run_until_day(day)
+            landed = sum(ds.max_delta_seq()
+                         for ds in scheduler.dataset_map().values())
+            rows.append({"day": day, "data_file_reads": len(reads),
+                         "deltas_landed": landed - landed_before})
+            landed_before = landed
+        return rows
+    finally:
+        platform.close()
+
+
+def _landing_violations(rows):
+    """Days after the first that read more than twice what they landed
+    (a new delta may be read by the derived pass and folded into a key
+    index once; the chain behind it never)."""
+    return [row for row in rows[1:]
+            if row["data_file_reads"] > 2 * row["deltas_landed"]]
+
+
 # ------------------------------------------------------------------ pytest
 @pytest.fixture(scope="module")
 def baseline():
@@ -129,6 +176,12 @@ def test_a8_incremental_recompute_bounded(baseline):
     raw = _raw_source_records(baseline["scheduler"])
     assert scanned == raw  # each source record scanned exactly once
     assert scanned < DAYS * max(raw, 1)  # vs a daily full rebuild
+
+
+def test_a8_landing_reads_flat_in_chain_length():
+    rows = _landing_reads()
+    assert all(row["deltas_landed"] > 0 for row in rows)
+    assert _landing_violations(rows) == []
 
 
 # --------------------------------------------------------------- standalone
@@ -182,6 +235,8 @@ def _bench_payload(days: int) -> dict:
             },
             "scenarios": scenarios,
             "incremental_recompute": recompute,
+            "landing_reads_per_day": _landing_reads(
+                max(days, LANDING_DAYS)),
             "failures": failures,
         }
         return payload
@@ -221,6 +276,11 @@ def main(argv=None) -> int:
           f"full rebuilds "
           f"({100 * rec['scan_fraction_vs_rebuild']:.1f}%)")
 
+    landing = payload["landing_reads_per_day"]
+    print("landing reads per day (data-file reads / deltas landed): "
+          + ", ".join(f"{row['data_file_reads']}/{row['deltas_landed']}"
+                      for row in landing))
+
     if payload["failures"]:
         print(f"INGEST REGRESSION: {len(payload['failures'])} kill "
               f"scenario(s) diverged: {', '.join(payload['failures'])}")
@@ -228,6 +288,12 @@ def main(argv=None) -> int:
     if rec["delta_records_scanned"] > rec["source_records"]:
         print("INGEST REGRESSION: incremental recompute re-scanned "
               "source records")
+        return 1
+    heavy_days = _landing_violations(landing)
+    if heavy_days:
+        print("INGEST REGRESSION: landing re-reads the chain — day(s) "
+              + ", ".join(str(row["day"]) for row in heavy_days)
+              + " read more than 2x the delta files they landed")
         return 1
     if args.json:
         os.makedirs(os.path.dirname(args.json) or ".", exist_ok=True)

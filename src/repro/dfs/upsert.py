@@ -29,7 +29,8 @@ from __future__ import annotations
 import json
 import posixpath
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from repro.dfs.filesystem import MiniDfs
 from repro.util.errors import StorageError
@@ -58,6 +59,29 @@ class CompactionStats:
     files_retired: int = 0    # old files left on disk for vacuum()
 
 
+@dataclass
+class _KeyIndex:
+    """The keys of the merged view and the manifest layout they reflect.
+
+    Private to one :class:`UpsertDataset` handle and never trusted on
+    its own: every use re-validates ``base``/``deltas`` against a
+    freshly loaded manifest (see :meth:`UpsertDataset._synced_index`).
+    """
+
+    base: Tuple[str, ...]
+    #: ``(seq, file, unit, records)`` of each delta folded so far
+    deltas: List[Tuple[int, str, str, int]] = field(default_factory=list)
+    keys: Set[Tuple] = field(default_factory=set)
+
+
+def _delta_layout(delta: Dict) -> Tuple[int, str, str, int]:
+    return (delta["seq"], delta["file"], delta["unit"], delta["records"])
+
+
+def _sorted_deltas(manifest: Dict) -> List[Dict]:
+    return sorted(manifest["deltas"], key=lambda d: d["seq"])
+
+
 def record_key(record: Dict, key_fields: Tuple[str, ...]) -> Tuple:
     """The (hashable) key of one record under the dataset's key spec."""
     try:
@@ -82,6 +106,7 @@ class UpsertDataset:
         if records_per_part < 1:
             raise StorageError("records_per_part must be >= 1")
         self.records_per_part = records_per_part
+        self._index: Optional[_KeyIndex] = None
 
     # ------------------------------------------------------------- manifest
     @property
@@ -126,9 +151,9 @@ class UpsertDataset:
             return ApplyResult(unit_id=unit_id, applied=False,
                                delta_seq=manifest["applied_units"][unit_id])
         records = list(records)
-        existing = set(self._merged(manifest))
-        new_keys = len({record_key(r, self.key_fields)
-                        for r in records} - existing)
+        index = self._synced_index(manifest)
+        new_keys = ({record_key(r, self.key_fields) for r in records}
+                    - index.keys)
         seq = manifest["next_delta"]
         delta_path = f"{self.root}/delta-{seq:06d}.jsonl"
         lines = [json.dumps(r, separators=(",", ":"), sort_keys=True)
@@ -137,31 +162,64 @@ class UpsertDataset:
                                    if lines else "")
         if on_delta_written is not None:
             on_delta_written()
-        manifest["deltas"].append(
-            {"seq": seq, "file": delta_path, "unit": unit_id,
-             "records": len(records)})
+        delta = {"seq": seq, "file": delta_path, "unit": unit_id,
+                 "records": len(records)}
+        manifest["deltas"].append(delta)
         manifest["applied_units"][unit_id] = seq
         manifest["next_delta"] = seq + 1
         self._store_manifest(manifest)
+        # only now is the delta part of the view: a crash above leaves
+        # the index at the old manifest, and what was just written is
+        # never read back
+        index.keys.update(new_keys)
+        index.deltas.append(_delta_layout(delta))
         return ApplyResult(unit_id=unit_id, applied=True,
                            records=len(records), delta_seq=seq,
-                           new_keys=new_keys)
+                           new_keys=len(new_keys))
 
     # ---------------------------------------------------------------- reads
     def _read_lines(self, path: str) -> List[Dict]:
         return [json.loads(line)
                 for line in self.dfs.read_text(path).splitlines() if line]
 
+    def _file_keys(self, path: str) -> List[Tuple]:
+        return [record_key(record, self.key_fields)
+                for record in self._read_lines(path)]
+
+    def _synced_index(self, manifest: Dict) -> _KeyIndex:
+        """The key index brought level with ``manifest``.
+
+        When the layout the index reflects is a prefix of the
+        manifest's (same base, same leading deltas) only the deltas
+        past it are read; anything else — a compaction, a rewritten
+        chain, a fresh handle — rebuilds from every live file. Each
+        file's keys and its layout entry go in together, so a read that
+        fails leaves the index behind the manifest, never ahead of it.
+        """
+        base = tuple(manifest["base"])
+        deltas = _sorted_deltas(manifest)
+        index = self._index
+        if (index is None or index.base != base
+                or index.deltas != [_delta_layout(d)
+                                    for d in deltas[:len(index.deltas)]]):
+            index = _KeyIndex(base)
+            for path in base:
+                index.keys.update(self._file_keys(path))
+            self._index = index
+        for delta in deltas[len(index.deltas):]:
+            index.keys.update(self._file_keys(delta["file"]))
+            index.deltas.append(_delta_layout(delta))
+        return index
+
+    def _replay(self, manifest: Dict) -> Iterator[Dict]:
+        """Every raw record, base then deltas in sequence order."""
+        for path in self._live_files(manifest):
+            yield from self._read_lines(path)
+
     def _merged(self, manifest: Optional[Dict] = None) -> Dict[Tuple, Dict]:
         manifest = manifest or self._load_manifest()
-        view: Dict[Tuple, Dict] = {}
-        for path in manifest["base"]:
-            for record in self._read_lines(path):
-                view[record_key(record, self.key_fields)] = record
-        for delta in sorted(manifest["deltas"], key=lambda d: d["seq"]):
-            for record in self._read_lines(delta["file"]):
-                view[record_key(record, self.key_fields)] = record
-        return view
+        return {record_key(record, self.key_fields): record
+                for record in self._replay(manifest)}
 
     def read(self) -> List[Dict]:
         """The merged view: exactly one record per key, key-sorted."""
@@ -178,7 +236,16 @@ class UpsertDataset:
             for r in self.read()).encode("utf-8")
 
     def key_count(self) -> int:
-        return len(self._merged())
+        return len(self._synced_index(self._load_manifest()).keys)
+
+    def unit_records(self, unit_id: str) -> List[Dict]:
+        """The records of exactly one applied unit's delta file; empty
+        when the unit never landed or a compaction folded it away."""
+        # newest first: callers ask about the unit that just landed
+        for delta in reversed(self._load_manifest()["deltas"]):
+            if delta["unit"] == unit_id:
+                return self._read_lines(delta["file"])
+        return []
 
     def applied_units(self) -> Dict[str, int]:
         """unit id → delta seq for every unit ever landed (compaction
@@ -201,10 +268,13 @@ class UpsertDataset:
         return sorted((d["seq"], d["file"]) for d in manifest["deltas"]
                       if d["seq"] > watermark)
 
-    def live_files(self) -> List[str]:
-        manifest = self._load_manifest()
+    @staticmethod
+    def _live_files(manifest: Dict) -> List[str]:
         return list(manifest["base"]) + [d["file"]
-                                         for d in manifest["deltas"]]
+                                         for d in _sorted_deltas(manifest)]
+
+    def live_files(self) -> List[str]:
+        return self._live_files(self._load_manifest())
 
     def duplicate_key_groups(self) -> int:
         """Keys appearing in more than one live file — the quantity the
@@ -233,14 +303,14 @@ class UpsertDataset:
         broken view.
         """
         manifest = self._load_manifest()
-        stats = CompactionStats(
-            deltas_folded=len(manifest["deltas"]),
-            records_before=sum(len(self._read_lines(p))
-                               for p in self.live_files()))
-        view = self._merged(manifest)
+        stats = CompactionStats(deltas_folded=len(manifest["deltas"]))
+        view: Dict[Tuple, Dict] = {}
+        for record in self._replay(manifest):
+            view[record_key(record, self.key_fields)] = record
+            stats.records_before += 1
         records = [view[k] for k in sorted(view, key=repr)]
         stats.records_after = len(records)
-        old_files = self.live_files()
+        old_files = self._live_files(manifest)
         generation = manifest["version"] + 1
         new_base: List[str] = []
         for i in range(0, max(1, len(records)), self.records_per_part):

@@ -193,18 +193,6 @@ class AlertEvaluator:
         return self._index
 
     # ------------------------------------------------------------- evaluate
-    def _unit_delta(self, dataset, unit_id: str) -> List[Dict]:
-        """The records of exactly one applied unit's delta file (empty
-        when the unit never landed or a compaction folded it away — by
-        then its notifications are already durable in the outbox)."""
-        seq = dataset.applied_units().get(unit_id)
-        if seq is None:
-            return []
-        for delta_seq, path in dataset.delta_files_since(seq - 1):
-            if delta_seq == seq:
-                return dataset._read_lines(path)
-        return []
-
     def _emit(self, sub_id: str, unit: str, entity: str,
               payload: Dict, out: List[Notification]) -> None:
         sub = self.registry.get(sub_id)
@@ -221,10 +209,11 @@ class AlertEvaluator:
         """Match one derived unit's delta against the predicate index."""
         index = self.index()
         out: List[Notification] = []
-        invest = self._unit_delta(maintainer.investment_edges,
-                                  f"{unit}:investments")
-        follows = self._unit_delta(maintainer.follow_edges,
-                                   f"{unit}:follows")
+        # empty when a compaction folded the unit's delta away: by then
+        # its notifications are already durable in the outbox
+        invest = maintainer.investment_edges.unit_records(
+            f"{unit}:investments")
+        follows = maintainer.follow_edges.unit_records(f"{unit}:follows")
         self.stats.records_scanned += len(invest) + len(follows)
         for record in invest:
             investor = int(record["investor_id"])

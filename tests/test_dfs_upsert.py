@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dfs.filesystem import MiniDfs
-from repro.dfs.upsert import UpsertDataset
+from repro.dfs.upsert import UpsertDataset, record_key
 from repro.util.errors import StorageError
 
 
@@ -170,3 +170,164 @@ class TestCompactionReaderRace:
         assert reclaimed.isdisjoint(live)
         for path in live:
             assert dfs.exists(path)
+
+
+# ------------------------------------------------------------- key index
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+def _record_reads(dfs, monkeypatch, fail_on=None):
+    """Log every path ``MiniDfs.read`` serves (``read_text`` goes
+    through it); a read of ``fail_on`` raises ``StorageError``."""
+    paths = []
+    real_read = dfs.read
+
+    def read(path):
+        if path == fail_on:
+            raise StorageError(f"injected read fault: {path}")
+        paths.append(path)
+        return real_read(path)
+
+    monkeypatch.setattr(dfs, "read", read)
+    return paths
+
+
+def _brute_new_keys(ds, records):
+    return len({record_key(r, ds.key_fields) for r in records}
+               - set(ds._merged()))
+
+
+_key_pairs = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2)),
+                      max_size=5)
+_ops = st.lists(
+    st.tuples(st.sampled_from(["apply", "apply", "apply", "empty",
+                               "compact", "vacuum"]),
+              st.integers(0, 1),      # which of two handles acts
+              st.integers(0, 7),      # unit number: repeats re-apply
+              _key_pairs),
+    max_size=14)
+
+
+class TestKeyIndex:
+    """The incremental key index answers exactly what a full replay
+    would, and reads only what the manifest says it has not seen."""
+
+    @given(ops=_ops, composite=st.booleans(), strings=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_replay_over_any_op_sequence(
+            self, ops, composite, strings):
+        dfs = MiniDfs(num_datanodes=3)
+        key = ("a", "b") if composite else "a"
+        handles = [UpsertDataset(dfs, "/ds", key=key, records_per_part=3)
+                   for _ in range(2)]
+        value = (lambda n: f"k{n}") if strings else (lambda n: n)
+        for step, (op, who, unit, pairs) in enumerate(ops):
+            ds = handles[who]
+            if op == "compact":
+                ds.compact()
+            elif op == "vacuum":
+                ds.vacuum()
+            else:
+                records = [] if op == "empty" else [
+                    {"a": value(a), "b": value(b), "v": step}
+                    for a, b in pairs]
+                fresh = f"u{unit}" not in ds.applied_units()
+                expected = _brute_new_keys(ds, records) if fresh else 0
+                result = ds.apply(f"u{unit}", records)
+                assert result.applied == fresh
+                assert result.new_keys == expected
+            for handle in handles:
+                assert handle.key_count() == len(handle._merged())
+
+    def test_second_handle_sees_foreign_writes_and_compaction(self, dfs):
+        a = UpsertDataset(dfs, "/ds")
+        b = UpsertDataset(dfs, "/ds")
+        a.apply("u1", [{"id": 1}, {"id": 2}])
+        assert b.key_count() == 2
+        a.apply("u2", [{"id": 3}])
+        # b's index is one delta behind; its apply must count against
+        # the manifest's view, not its own
+        assert b.apply("u3", [{"id": 3}, {"id": 4}]).new_keys == 1
+        assert a.key_count() == b.key_count() == 4
+        a.compact()
+        a.vacuum()  # the files b's index was built from are gone
+        a.apply("u4", [{"id": 5}])
+        assert b.key_count() == 5
+        assert b.apply("u5", [{"id": 5}, {"id": 6}]).new_keys == 1
+
+    def test_mid_land_crash_leaves_index_at_old_manifest(self, dfs):
+        ds = UpsertDataset(dfs, "/ds")
+        ds.apply("u1", [{"id": 1}])
+
+        def boom():
+            raise RuntimeError("mid-land")
+
+        with pytest.raises(RuntimeError):
+            ds.apply("u2", [{"id": 1}, {"id": 2}, {"id": 3}],
+                     on_delta_written=boom)
+        assert ds.key_count() == 1
+        assert len(ds.vacuum()) == 1
+        retried = ds.apply("u2", [{"id": 1}, {"id": 2}, {"id": 3}])
+        assert retried.applied and retried.new_keys == 2
+        assert ds.key_count() == 3
+
+    def test_failed_fold_propagates_and_next_call_is_exact(
+            self, dfs, monkeypatch):
+        writer = UpsertDataset(dfs, "/ds")
+        reader = UpsertDataset(dfs, "/ds")
+        writer.apply("u0", [{"id": 0}])
+        assert reader.key_count() == 1
+        for n in (1, 2, 3):
+            writer.apply(f"u{n}", [{"id": n}])
+        second = writer.delta_files_since(0)[2][1]
+        with monkeypatch.context() as patch:
+            _record_reads(dfs, patch, fail_on=second)
+            with pytest.raises(StorageError):
+                reader.key_count()
+        paths = _record_reads(dfs, monkeypatch)
+        assert reader.key_count() == 4
+        # the delta folded before the fault is not read again
+        assert len(paths) == 3 and paths[0] == reader.manifest_path
+
+    def test_read_count_gate(self, dfs, monkeypatch):
+        warm = UpsertDataset(dfs, "/ds")
+        for n in range(50):
+            warm.apply(f"u{n}", [{"id": n}, {"id": n + 1}])
+        paths = _record_reads(dfs, monkeypatch)
+        manifest = warm.manifest_path
+
+        assert warm.apply("u50", [{"id": 50}, {"id": 99}]).new_keys == 1
+        assert paths == [manifest]  # the 50-delta chain is not re-read
+        del paths[:]
+        assert warm.key_count() == 52
+        assert paths == [manifest]  # nor is the delta just written
+        del paths[:]
+
+        cold = UpsertDataset(dfs, "/ds")
+        live = cold.live_files()
+        del paths[:]
+        assert cold.key_count() == 52
+        assert sorted(paths) == sorted([manifest] + live)
+
+        warm.apply("u51", [{"id": 100}])
+        foreign = warm.delta_files_since(51)[0][1]
+        del paths[:]
+        assert cold.key_count() == 53  # one foreign delta: one file read
+        assert paths == [manifest, foreign]
+
+    def test_unit_records_and_compact_read_once(self, dfs, monkeypatch):
+        ds = UpsertDataset(dfs, "/ds", records_per_part=2)
+        ds.apply("u1", [{"id": 1, "v": 1}, {"id": 2, "v": 1}])
+        ds.apply("u2", [{"id": 2, "v": 2}])
+        live = ds.live_files()
+        paths = _record_reads(dfs, monkeypatch)
+        assert ds.unit_records("u2") == [{"id": 2, "v": 2}]
+        assert paths == [ds.manifest_path, live[1]]
+        assert ds.unit_records("never-applied") == []
+        del paths[:]
+        stats = ds.compact()
+        assert (stats.deltas_folded, stats.records_before,
+                stats.records_after, stats.files_retired) == (2, 3, 2, 2)
+        assert sorted(paths) == sorted([ds.manifest_path] + live)
+        assert ds.unit_records("u2") == []  # folded into the base

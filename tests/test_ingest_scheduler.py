@@ -105,6 +105,35 @@ class TestHappyPath:
             platform.close()
 
 
+    @pytest.mark.parametrize("compact_every_days", [0, 2])
+    def test_report_keys_match_full_read(self, compact_every_days):
+        """``report()`` answers from the datasets' key indexes; a full
+        ``read()`` is the oracle — with a warm index, with a new
+        scheduler's cold index over a warm chain, across compactions."""
+        def oracle(scheduler):
+            return {name: len(ds.read())
+                    for name, ds in scheduler.dataset_map().items()}
+
+        platform = _platform(compact_every_days=compact_every_days)
+        try:
+            first = platform.ingest_pipeline()
+            report = first.run_until_day(3)
+            assert len(report.dataset_keys) == 7
+            assert report.dataset_keys == oracle(first)
+            first.faults = FaultSchedule.none()
+            first.faults.force_ingest_kill("day-0004:snapshot", "mid-land")
+            with pytest.raises(IngestKilled):
+                first.run_until_day(6)
+            resumed = platform.ingest_pipeline()
+            assert resumed.report().dataset_keys == oracle(resumed)
+            report = resumed.run_until_day(6)
+            assert report.day == 6
+            assert report.dataset_keys == oracle(resumed)
+            assert report.dataset_keys["panels"] > 0
+        finally:
+            platform.close()
+
+
 def _kill_matrix():
     # mid-land only exists for units that land datasets
     for kind in ("advance", "discover"):

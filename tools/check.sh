@@ -59,7 +59,8 @@ echo "== benchmark smoke (ingest kill-anywhere resume) =="
 # A8: SIGKILL the continuous-ingest scheduler at every ledger state,
 # resume from the write-ahead ledger — eventual datasets byte-identical
 # to an uninterrupted run, zero duplicate lands, all leases reclaimed,
-# incremental recompute bounded (each source record scanned once)
+# incremental recompute bounded (each source record scanned once),
+# landing cost flat in chain length (landing_reads_per_day)
 with_timeout python benchmarks/bench_a8_ingest.py \
     --smoke --json benchmarks/out/BENCH_ingest.json
 
