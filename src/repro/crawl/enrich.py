@@ -14,7 +14,6 @@ Each writes a JSON-lines dataset keyed by ``angellist_id``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -67,11 +66,8 @@ def _replay_into_dataset(client: ApiClient,
     if dead_letters is None or len(dead_letters) == 0:
         return 0
     start = len(dfs.glob_parts(out_dir))
-    landed = set()
-    for path in dfs.glob_parts(out_dir):
-        for line in dfs.read_text(path).splitlines():
-            if line:
-                landed.add(json.loads(line).get("angellist_id"))
+    landed = {record.get("angellist_id")
+              for record in iter_json_dataset(dfs, out_dir)}
     landed.discard(None)
     recovered = 0
     with JsonLinesWriter(dfs, out_dir, records_per_part,

@@ -3,15 +3,60 @@
 Crawlers write records through :class:`JsonLinesWriter`; the engine reads
 datasets partition-by-partition so each part file becomes one RDD
 partition (exactly how Spark maps HDFS splits to partitions).
+
+This module also owns the record codec every landed dataset shares —
+:func:`encode_record`, :func:`decode_line`, :func:`decode_lines` — so
+the on-disk format has exactly one definition (``tools/check.sh`` greps
+for strays).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Sequence
 
 from repro.dfs.filesystem import MiniDfs
 from repro.util.errors import StorageError
+
+
+# ------------------------------------------------------------ record codec
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+#: One record as one line: compact separators, sorted keys, ASCII-only
+#: (non-ASCII and control characters are ``\uXXXX``-escaped). Byte for
+#: byte ``json.dumps(record, separators=(",", ":"), sort_keys=True)``
+#: without building an encoder per call. ASCII output is what keeps
+#: ``str.splitlines()`` (which also breaks on ``\x1c``, ``\x85``,
+#: ``\u2028`` …) and byte offsets in step: an encoded line contains no
+#: line boundary and one byte per character.
+encode_record = _ENCODER.encode
+
+# the C scanner ``json.loads`` itself ends up in, minus the Python
+# ``loads -> decode -> raw_decode`` wrapper and its two whitespace
+# regexes; shared across threads exactly as ``json``'s default decoder is
+_scan_once = json.JSONDecoder().scan_once
+
+
+def decode_line(line: str) -> Any:
+    """``json.loads(line)`` for one line of text, faster on the common case.
+
+    The scanner's value is accepted only when it consumed the whole
+    line. Anything else — leading or trailing whitespace, trailing
+    data, no value at all — is handed to ``json.loads``, so every
+    result and every ``JSONDecodeError`` is the standard library's.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+    except StopIteration:
+        return json.loads(line)
+    if end != len(line):
+        return json.loads(line)
+    return value
+
+
+def decode_lines(text: str) -> List[Any]:
+    """Every non-empty line of ``text`` decoded, in order."""
+    return [decode_line(line) for line in text.splitlines() if line]
 
 
 def _part_path(directory: str, index: int) -> str:
@@ -51,8 +96,7 @@ class JsonLinesWriter:
     def write(self, record: Dict) -> None:
         if self._closed:
             raise StorageError("writer is closed")
-        self._buffer.append(json.dumps(record, separators=(",", ":"),
-                                       sort_keys=True))
+        self._buffer.append(encode_record(record))
         self.records_written += 1
         if len(self._buffer) >= self._records_per_part:
             self._flush()
@@ -108,10 +152,9 @@ def list_partitions(dfs: MiniDfs, directory: str) -> List[str]:
 def iter_json_dataset(dfs: MiniDfs, directory: str) -> Iterator[Dict]:
     """Stream every record of a dataset in partition order."""
     for path in list_partitions(dfs, directory):
-        text = dfs.read_text(path)
-        for line in text.splitlines():
+        for line in dfs.read_text(path).splitlines():
             if line:
-                yield json.loads(line)
+                yield decode_line(line)
 
 
 def read_json_dataset(dfs: MiniDfs, directory: str) -> List[Dict]:
@@ -151,7 +194,7 @@ def read_part_pushdown(dfs: MiniDfs, path: str,
     for line in dfs.read_text(path).splitlines():
         if not line:
             continue
-        record = json.loads(line)
+        record = decode_line(line)
         dropped = False
         for kind, fn in ops:
             if kind == "filter":
@@ -195,7 +238,7 @@ def read_part_batches(dfs: MiniDfs, path: str, batch_rows: int,
     for line in dfs.read_text(path).splitlines():
         if not line:
             continue
-        record = json.loads(line)
+        record = decode_line(line)
         if counters is not None:
             counters.rows_read += 1
         if predicate is not None and not predicate(record):

@@ -33,6 +33,7 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
                     Tuple, Union)
 
 from repro.dfs.filesystem import MiniDfs
+from repro.dfs.jsonlines import decode_lines, encode_record
 from repro.util.errors import StorageError
 
 MANIFEST_NAME = "MANIFEST.json"
@@ -156,8 +157,7 @@ class UpsertDataset:
                     - index.keys)
         seq = manifest["next_delta"]
         delta_path = f"{self.root}/delta-{seq:06d}.jsonl"
-        lines = [json.dumps(r, separators=(",", ":"), sort_keys=True)
-                 for r in records]
+        lines = [encode_record(r) for r in records]
         self.dfs.write_atomic_text(delta_path, "\n".join(lines) + "\n"
                                    if lines else "")
         if on_delta_written is not None:
@@ -179,8 +179,7 @@ class UpsertDataset:
 
     # ---------------------------------------------------------------- reads
     def _read_lines(self, path: str) -> List[Dict]:
-        return [json.loads(line)
-                for line in self.dfs.read_text(path).splitlines() if line]
+        return decode_lines(self.dfs.read_text(path))
 
     def _file_keys(self, path: str) -> List[Tuple]:
         return [record_key(record, self.key_fields)
@@ -231,9 +230,7 @@ class UpsertDataset:
         view — two datasets with identical logical content produce
         identical bytes regardless of how many deltas or compactions
         got them there."""
-        return "\n".join(
-            json.dumps(r, separators=(",", ":"), sort_keys=True)
-            for r in self.read()).encode("utf-8")
+        return "\n".join(map(encode_record, self.read())).encode("utf-8")
 
     def key_count(self) -> int:
         return len(self._synced_index(self._load_manifest()).keys)
@@ -316,8 +313,7 @@ class UpsertDataset:
         for i in range(0, max(1, len(records)), self.records_per_part):
             chunk = records[i:i + self.records_per_part]
             path = f"{self.root}/base-{generation:04d}-{len(new_base):05d}.jsonl"
-            lines = [json.dumps(r, separators=(",", ":"), sort_keys=True)
-                     for r in chunk]
+            lines = [encode_record(r) for r in chunk]
             self.dfs.write_atomic_text(path, "\n".join(lines) + "\n"
                                        if lines else "")
             new_base.append(path)

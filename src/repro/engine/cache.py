@@ -5,16 +5,20 @@ kept on the node and reused, but nothing bounded driver memory and
 nothing survived an eviction. The :class:`CacheManager` gives each
 :class:`~repro.engine.context.SparkLiteContext` one shared store:
 
-* ``storage="memory"`` entries live in an LRU dict accounted in pickled
-  bytes; pushing the store over ``budget_bytes`` evicts the coldest
-  entries — spilling them to the DFS when one is attached, dropping
-  them (to be recomputed) otherwise;
+* ``storage="memory"`` entries live in an LRU dict accounted in
+  *estimated* pickled bytes — the planner's deterministic stride sample
+  (:func:`~repro.engine.planner.estimate_rows_bytes`) per partition, so
+  sizing an entry never serializes it; pushing the store over
+  ``budget_bytes`` evicts the coldest entries — spilling them to the
+  DFS when one is attached, dropping them (to be recomputed) otherwise;
 * ``storage="dfs"`` entries are written through to MiniDfs immediately
   (one pickled, zlib-compressed part file per partition under
   ``/engine/cache/rdd-<id>/``), so they survive memory pressure and
   cost no budget;
 * unpicklable partitions (e.g. file handles) are pinned in memory at
   zero accounted cost — evicting them would lose data we can't restore.
+  A sample that will not pickle pins at ``put``; a row the sample
+  missed pins the entry when its spill fails (``spill_failures``).
 
 The manager only stores and serves ``List[List[Any]]`` partition sets;
 lineage bookkeeping (which RDD wants caching, cut ancestors when an
@@ -23,10 +27,12 @@ entry is present) stays in :class:`~repro.engine.rdd.JobRunner`.
 
 from __future__ import annotations
 
-import pickle
 import zlib
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
+
+from repro.engine.planner import estimate_rows_bytes
+from repro.engine.shuffle import PICKLING_ERRORS
 
 STORAGE_MEMORY = "memory"
 STORAGE_DFS = "dfs"
@@ -57,6 +63,7 @@ class CacheManager:
         self.misses = 0
         self.evictions = 0
         self.spills = 0
+        self.spill_failures = 0
 
     # -------------------------------------------------------------- accounting
     @property
@@ -68,30 +75,39 @@ class CacheManager:
         return {"entries": len(self._entries),
                 "bytes_in_memory": self.bytes_in_memory,
                 "hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "spills": self.spills}
+                "evictions": self.evictions, "spills": self.spills,
+                "spill_failures": self.spill_failures}
 
     # ------------------------------------------------------------------- store
     def put(self, rdd_id: int, partitions: List[List[Any]],
             storage: str = STORAGE_MEMORY) -> None:
-        payload = None
-        try:
-            payload = pickle.dumps(partitions,
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            pass  # unpicklable → pin in memory, cannot spill
-        if storage == STORAGE_DFS and self.dfs is not None \
-                and payload is not None:
-            self._write_parts(rdd_id, partitions)
-            self._entries[rdd_id] = _Entry(None, 0, STORAGE_DFS,
-                                           len(partitions), pinned=False)
-            self._entries.move_to_end(rdd_id)
-            return
-        nbytes = len(payload) if payload is not None else 0
-        self._entries[rdd_id] = _Entry(partitions, nbytes, STORAGE_MEMORY,
-                                       len(partitions),
-                                       pinned=payload is None)
+        sizes = [estimate_rows_bytes(part)[0] for part in partitions]
+        # an unpicklable sample → pin in memory, cannot spill
+        pinned = any(size is None for size in sizes)
+        if storage == STORAGE_DFS and self.dfs is not None and not pinned:
+            if self._try_write_parts(rdd_id, partitions):
+                self._entries[rdd_id] = _Entry(None, 0, STORAGE_DFS,
+                                               len(partitions), pinned=False)
+                self._entries.move_to_end(rdd_id)
+                return
+            pinned = True
+        self._entries[rdd_id] = _Entry(partitions,
+                                       0 if pinned else sum(sizes),
+                                       STORAGE_MEMORY, len(partitions),
+                                       pinned=pinned)
         self._entries.move_to_end(rdd_id)
         self._shrink()
+
+    def _try_write_parts(self, rdd_id: int,
+                         partitions: List[List[Any]]) -> bool:
+        """Spill; ``False`` (counted) when a row the size sample missed
+        will not serialize — the caller pins the entry instead."""
+        try:
+            self._write_parts(rdd_id, partitions)
+        except PICKLING_ERRORS:
+            self.spill_failures += 1
+            return False
+        return True
 
     def _write_parts(self, rdd_id: int, partitions: List[List[Any]]) -> None:
         # tagged row codec: columnar-packable partitions spill as one
@@ -115,15 +131,18 @@ class CacheManager:
             if victim is None:
                 return  # only pinned entries left; nothing evictable
             entry = self._entries[victim]
-            self.evictions += 1
-            if self.dfs is not None:
-                self._write_parts(victim, entry.partitions)
+            if self.dfs is None:
+                del self._entries[victim]
+            elif self._try_write_parts(victim, entry.partitions):
                 entry.storage = STORAGE_DFS
                 entry.partitions = None
                 entry.nbytes = 0
                 self.spills += 1
             else:
-                del self._entries[victim]
+                entry.pinned = True
+                entry.nbytes = 0
+                continue
+            self.evictions += 1
 
     # ------------------------------------------------------------------- fetch
     def get(self, rdd_id: int) -> Optional[List[List[Any]]]:

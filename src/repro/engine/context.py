@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, List, Optional, Sequence
 
+from repro.dfs.jsonlines import decode_lines
 from repro.engine.backends import (ExecutionBackend, SupervisePolicy,
                                    resolve_backend)
 from repro.engine.cache import CacheManager
@@ -235,8 +235,7 @@ class SparkLiteContext:
             return rdd
 
         def compute(runner: JobRunner, index: int) -> List[Any]:
-            text = dfs.read_text(paths[index])
-            return [json.loads(line) for line in text.splitlines() if line]
+            return decode_lines(dfs.read_text(paths[index]))
         rdd = RDD(self, len(paths), (), compute, name=f"json:{directory}")
         # lets the adaptive planner fuse adjacent filter/map ops into
         # the read itself (repro.dfs.jsonlines.read_part_pushdown)
@@ -316,8 +315,7 @@ class SparkLiteContext:
             return rdd
 
         def compute(runner: JobRunner, index: int) -> List[Any]:
-            text = dfs.read_text(paths[index])
-            return [json.loads(line) for line in text.splitlines() if line]
+            return decode_lines(dfs.read_text(paths[index]))
         rdd = RDD(self, len(paths), (), compute, name=f"jsonf:{name}")
         rdd.scan_info = {"dfs": dfs, "paths": tuple(paths), "kind": "rows"}
         self._datasets[key] = rdd

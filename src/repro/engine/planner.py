@@ -51,7 +51,7 @@ from collections import defaultdict
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
-from repro.engine.shuffle import stride_sample
+from repro.engine.shuffle import PICKLING_ERRORS, stride_sample
 from repro.util.errors import EngineError
 
 __all__ = ["AdaptivePlanner", "StatsCollector", "PartitionStats",
@@ -88,7 +88,7 @@ def estimate_rows_bytes(rows: Sequence[Any],
     sample = stride_sample(rows, sample_rows)
     try:
         payload = pickle.dumps(sample, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
+    except PICKLING_ERRORS:
         return None, 0
     est = max(1, int(len(payload) / len(sample) * len(rows)))
     return est, len(sample)

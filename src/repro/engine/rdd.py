@@ -720,11 +720,10 @@ class RDD(Generic[T]):
 
     def save_as_json_dataset(self, dfs, directory: str) -> int:
         """Write each partition as one part file on the DFS."""
-        import json
+        from repro.dfs.jsonlines import encode_record
         partitions = self.context._run_job_partitions(self)
         for index, part in enumerate(partitions):
-            lines = [json.dumps(rec, separators=(",", ":"), sort_keys=True)
-                     for rec in part]
+            lines = [encode_record(rec) for rec in part]
             dfs.write_atomic_text(
                 f"{directory.rstrip('/')}/part-{index:05d}.jsonl",
                 "\n".join(lines) + ("\n" if lines else ""))

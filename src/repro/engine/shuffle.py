@@ -39,6 +39,10 @@ DEFAULT_COMPRESS_THRESHOLD = 4096
 #: sample keys taken per parent partition when planning a range sort
 RANGE_SAMPLES_PER_PARTITION = 20
 
+#: what ``pickle.dumps`` raises for an object it cannot serialize
+PICKLING_ERRORS = (pickle.PicklingError, TypeError, AttributeError,
+                   RecursionError)
+
 
 def stride_sample(seq: List[Any], k: int) -> List[Any]:
     """At most ``k`` elements taken at a fixed stride — no RNG, so the
@@ -446,5 +450,5 @@ def payload_bytes(partitions: List[List[Any]]) -> int:
     try:
         return len(pickle.dumps(partitions,
                                 protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
+    except PICKLING_ERRORS:
         return 0

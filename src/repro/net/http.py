@@ -98,21 +98,28 @@ class Route:
     template: str
     handler: Handler
 
+    def __post_init__(self) -> None:
+        # the template is split once, at registration — a crawl tries ~4
+        # routes per request: segment count, then the fixed and the
+        # ``:name`` segments as (position, text) pairs
+        segments = list(enumerate(self.template.strip("/").split("/")))
+        self._length = len(segments)
+        self._fixed = tuple((i, seg) for i, seg in segments
+                            if not seg.startswith(":"))
+        self._named = tuple((i, seg[1:]) for i, seg in segments
+                            if seg.startswith(":"))
+
     def match(self, method: str, path: str) -> Optional[Dict[str, str]]:
         """Return extracted path params if this route matches, else None."""
         if method != self.method:
             return None
-        tpl_parts = self.template.strip("/").split("/")
-        path_parts = path.strip("/").split("/")
-        if len(tpl_parts) != len(path_parts):
+        parts = path.strip("/").split("/")
+        if len(parts) != self._length:
             return None
-        extracted: Dict[str, str] = {}
-        for tpl, part in zip(tpl_parts, path_parts):
-            if tpl.startswith(":"):
-                extracted[tpl[1:]] = part
-            elif tpl != part:
+        for i, segment in self._fixed:
+            if parts[i] != segment:
                 return None
-        return extracted
+        return {name: parts[i] for i, name in self._named}
 
 
 class SimServer:

@@ -22,7 +22,6 @@ builds over the same crawl are identical.
 
 from __future__ import annotations
 
-import json
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.community.labelprop import label_propagation
 from repro.dfs.filesystem import HedgedRead, MiniDfs
+from repro.dfs.jsonlines import decode_line
 from repro.graph.bipartite import BipartiteGraph
 from repro.util.errors import ConfigError, StorageError
 
@@ -347,7 +347,7 @@ class ServeDataset:
         if span is not None:
             try:
                 seek = dfs.read_hedged(part, hedge_after_s, *span)
-                rec = json.loads(seek.data.decode("utf-8"))
+                rec = decode_line(seek.data.decode("utf-8"))
                 if int(rec["id"]) == key:
                     return rec, seek, False
             except (StorageError, ValueError, KeyError, TypeError):
@@ -478,7 +478,7 @@ def scan_part_for(dfs: MiniDfs, part: str, key: int,
     for line in hedged.data.decode("utf-8").splitlines():
         if not line:
             continue
-        rec = json.loads(line)
+        rec = decode_line(line)
         if int(rec.get("id", -1)) == key:
             return rec, hedged
     return None, hedged
@@ -502,6 +502,6 @@ def _iter_parts(dfs: MiniDfs, directory: str,
             length = len(line)
             if length:
                 count += 1
-                yield path, json.loads(line.decode("utf-8")), offset, length
+                yield path, decode_line(line.decode("utf-8")), offset, length
             offset += length + 1
         part_records[path] = count

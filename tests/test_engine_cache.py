@@ -8,14 +8,19 @@ pipelined crawl → graph → analysis run scans each shared crawl dataset
 exactly once, with every later read served from the cache.
 """
 
+import inspect
+import pickle
+
 import pytest
 
 from repro.core.platform import ExploratoryPlatform
 from repro.dfs.filesystem import MiniDfs
-from repro.dfs.jsonlines import write_json_dataset
+from repro.dfs.jsonlines import decode_lines, write_json_dataset
 from repro.engine.cache import CacheManager
 from repro.engine.context import SparkLiteContext
 from repro.engine.metrics import STAGE_CACHED, STAGE_TASK
+from repro.engine.planner import DEFAULT_SAMPLE_ROWS
+from repro.engine.shuffle import stride_sample
 from repro.util.errors import EngineError
 
 
@@ -43,8 +48,10 @@ class TestCacheManager:
         assert manager.evictions == 1 and manager.spills == 0
 
     def test_lru_touch_protects_hot_entries(self):
-        one_entry = len(__import__("pickle").dumps(
-            PARTS, protocol=__import__("pickle").HIGHEST_PROTOCOL))
+        probe = CacheManager()
+        probe.put(0, PARTS)
+        one_entry = probe.bytes_in_memory
+        assert one_entry > 0
         manager = CacheManager(budget_bytes=2 * one_entry)
         manager.put(1, PARTS)
         manager.put(2, PARTS)
@@ -97,6 +104,51 @@ class TestCacheManager:
         manager.put(9, parts)
         assert manager.get(9) is parts  # never evicted, same object
         assert manager.evictions == 0
+
+    def test_put_pickles_only_the_sample(self, monkeypatch):
+        """Sizing an entry must not serialize it: at most
+        ``DEFAULT_SAMPLE_ROWS`` rows of each partition reach pickle."""
+        parts = [[(i, "row") for i in range(50_000)] for _ in range(4)]
+        pickled_rows = []
+        real_dumps = pickle.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            pickled_rows.append(sum(len(item) if isinstance(item, list)
+                                    else 1 for item in obj))
+            return real_dumps(obj, *args, **kwargs)
+        monkeypatch.setattr(pickle, "dumps", counting_dumps)
+        manager = CacheManager()
+        manager.put(1, parts)
+        assert len(pickled_rows) == len(parts)
+        assert max(pickled_rows) <= DEFAULT_SAMPLE_ROWS
+        assert manager.get(1) is parts
+
+    def _rows_with_unsampled_generator(self):
+        rows = list(range(100))
+        rows[5] = (x for x in range(3))  # the stride sample skips index 5
+        assert not any(inspect.isgenerator(r)
+                       for r in stride_sample(rows, DEFAULT_SAMPLE_ROWS))
+        return [rows]
+
+    def test_unpicklable_row_outside_the_sample_pins_at_spill(self):
+        parts = self._rows_with_unsampled_generator()
+        dfs = MiniDfs(num_datanodes=2)
+        manager = CacheManager(budget_bytes=0, dfs=dfs)
+        manager.put(9, parts)       # sized from the sample: looks fine
+        assert manager.get(9) is parts  # spill failed → pinned, not lost
+        assert (manager.evictions, manager.spills) == (0, 0)
+        assert manager.spill_failures == 1
+        assert manager.bytes_in_memory == 0
+        manager.put(10, PARTS)      # later pressure never retries the pin
+        assert manager.spill_failures == 1
+        assert manager.get(9) is parts
+
+    def test_unpicklable_row_outside_the_sample_dfs_storage(self):
+        parts = self._rows_with_unsampled_generator()
+        manager = CacheManager(dfs=MiniDfs(num_datanodes=2))
+        manager.put(9, parts, storage="dfs")
+        assert manager.get(9) is parts  # write-through failed → pinned
+        assert manager.spill_failures == 1
 
     def test_clear_empties_the_store(self):
         dfs = MiniDfs(num_datanodes=2)
@@ -255,3 +307,19 @@ class TestPipelineScansDatasetsOnce:
         stats = pipelined_platform.sc.cache_manager.stats()
         assert stats["entries"] > 0
         assert stats["hits"] > 0
+
+
+# ------------------------------------------------------ sampled accounting
+@pytest.mark.parametrize("directory", ["/crawl/angellist/startups",
+                                       "/crawl/angellist/users",
+                                       "/crawl/angellist/follow_edges"])
+def test_sampled_size_tracks_exact_pickled_size(crawled_platform, directory):
+    """The budget's unit is *estimated* pickled bytes; on real landed
+    records the stride sample must stay within 10 % of the exact size."""
+    dfs = crawled_platform.dfs
+    parts = [decode_lines(dfs.read_text(path))
+             for path in dfs.glob_parts(directory)]
+    exact = len(pickle.dumps(parts, protocol=pickle.HIGHEST_PROTOCOL))
+    manager = CacheManager()
+    manager.put(1, parts)
+    assert manager.bytes_in_memory == pytest.approx(exact, rel=0.10)

@@ -25,6 +25,18 @@ class TestRoute:
         route = Route("GET", "/a/:x", lambda r: Response.json({}))
         assert route.match("GET", "/a/b/c") is None
 
+    def test_fixed_segment_after_a_param(self):
+        route = Route("GET", "/1/users/:id/following",
+                      lambda r: Response.json({}))
+        assert route.match("GET", "/1/users/42/following/") == {"id": "42"}
+        assert route.match("GET", "/1/users/42/investments") is None
+        assert route.match("GET", "/2/users/42/following") is None
+
+    def test_several_params(self):
+        route = Route("GET", ":kind/x/:id", lambda r: Response.json({}))
+        assert route.match("GET", "/users/x/7") == {"kind": "users",
+                                                    "id": "7"}
+
 
 class TestRequest:
     def test_bearer_token(self):

@@ -22,6 +22,18 @@ with_timeout() {
 echo "== compileall =="
 python -m compileall -q src benchmarks tools examples
 
+echo "== one record codec =="
+# repro.dfs.jsonlines owns the JSON-lines codec (encode_record /
+# decode_line / decode_lines); a second spelling of it anywhere else is
+# a second format waiting to drift. world/io.py is exempt: it dumps one
+# gzip'd world document with insertion-ordered keys, not landed records.
+if grep -rnF --include='*.py' -e 'separators=(",", ":")' -e 'json.loads(line' \
+        src/repro | grep -v -e '^src/repro/dfs/jsonlines\.py:' \
+                            -e '^src/repro/world/io\.py:'; then
+    echo "per-record JSON codec outside src/repro/dfs/jsonlines.py" >&2
+    exit 1
+fi
+
 echo "== pytest (tier 1) =="
 python -m pytest -x -q "$@"
 
