@@ -11,6 +11,13 @@ produces for every PR::
     PYTHONPATH=src python benchmarks/bench_a4_shuffle_combine.py \
         --smoke --json benchmarks/out/BENCH_engine.json
 
+It also gates what the exchange *costs*, by count rather than by time
+(``shuffle_cost`` in the JSON): bucket placement may compute at most one
+hash per distinct key per map chunk, and sizing an exchange that never
+leaves the process may pickle at most the planner's stride sample of
+each piece. Both are counted on the serial backend, where every call
+happens in this interpreter.
+
 The workload's functions are module-level so they pickle — the process
 backend must actually ship them (and sealed ShuffleBlocks), not fall
 back in-driver.
@@ -20,18 +27,24 @@ import argparse
 import json
 import operator
 import os
+import pickle
 import time
+import zlib
 
 import pytest
 
 from repro.engine.backends import BACKENDS
 from repro.engine.context import SparkLiteContext
+from repro.engine.planner import DEFAULT_SAMPLE_ROWS
 
 ROWS = 60_000
 PARTITIONS = 8
 #: skewed key space: most rows pile onto a handful of hot keys, the way
 #: follower counts pile onto a few hub investors in the crawl graph
 _HOT_KEYS = 8
+#: upper bound on the distinct keys of ``_skewed_pair``: 8 hot + 24 cold
+#: residues (12 of them live, since only some residues of x occur)
+_DISTINCT_KEYS = _HOT_KEYS + 24
 
 
 def _skewed_pair(x: int):
@@ -64,7 +77,65 @@ def _run(backend: str, rows: int, combine: bool,
     return sorted(result), metrics, min(times)
 
 
+def _rows_in(obj) -> int:
+    """Rows inside a (possibly nested) list handed to ``pickle.dumps``."""
+    if isinstance(obj, list):
+        return sum(_rows_in(item) for item in obj)
+    return 1
+
+
+def _shuffle_cost(rows: int = ROWS) -> dict:
+    """What one uncombined serial run of the skewed job computes to move
+    ``rows`` records: CRC32 calls (bucket placement) and rows handed to
+    ``pickle.dumps`` (exchange sizing — nothing else pickles on the
+    serial backend). Uncombined so that every row reaches the exchange
+    and a whole-exchange pickle would show as ``rows``, not as 256."""
+    counts = {"hashes": 0, "pickled_rows": 0}
+    real_crc32, real_dumps = zlib.crc32, pickle.dumps
+
+    def counting_crc32(*args):
+        counts["hashes"] += 1
+        return real_crc32(*args)
+
+    def counting_dumps(obj, *args, **kwargs):
+        counts["pickled_rows"] += _rows_in(obj)
+        return real_dumps(obj, *args, **kwargs)
+
+    zlib.crc32, pickle.dumps = counting_crc32, counting_dumps
+    try:
+        with SparkLiteContext(parallelism=4, backend="serial",
+                              shuffle_combine=False) as sc:
+            _count_job(sc, rows)
+            metrics = sc.last_job_metrics
+    finally:
+        zlib.crc32, pickle.dumps = real_crc32, real_dumps
+    pieces = PARTITIONS * PARTITIONS        # map chunks x reduce buckets
+    return {
+        "rows": rows,
+        "records_moved": metrics.shuffle_records_moved,
+        "hash_computations": counts["hashes"],
+        "hash_computations_max": _DISTINCT_KEYS * PARTITIONS,
+        "hashes_per_shuffled_row": round(
+            counts["hashes"] / metrics.shuffle_records_moved, 6),
+        "sizing_pickled_rows": counts["pickled_rows"],
+        "sizing_pickled_rows_max": DEFAULT_SAMPLE_ROWS * pieces,
+    }
+
+
+def _cost_violations(cost: dict) -> list:
+    return [f"{name} {cost[name]} > {cost[name + '_max']}"
+            for name in ("hash_computations", "sizing_pickled_rows")
+            if cost[name] > cost[name + "_max"]]
+
+
 # ------------------------------------------------------------------ pytest
+def test_a4_exchange_cost_is_per_key_and_per_sample():
+    """≤ one hash per distinct key per chunk; sizing pickles samples."""
+    cost = _shuffle_cost()
+    assert cost["records_moved"] == ROWS
+    assert _cost_violations(cost) == []
+
+
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_a4_combiner_cuts_shuffle_volume(benchmark, backend):
     """≥5× fewer records cross the exchange with combining on."""
@@ -143,6 +214,7 @@ def _bench_payload(rows: int, rounds: int) -> dict:
     return {
         "benchmark": "engine-shuffle-fast-path",
         "a4_combine": a4,
+        "shuffle_cost": _shuffle_cost(),
         "a1_backends": [
             {k: e[k] for k in ("backend", "rows", "partitions",
                                "wall_s_best", "speedup_vs_serial")}
@@ -179,6 +251,18 @@ def main(argv=None) -> int:
     for entry in payload["a1_backends"]:
         print(f"{entry['backend']:>8}: {entry['wall_s_best']:.3f}s "
               f"({entry['speedup_vs_serial']}x vs serial)")
+
+    cost = payload["shuffle_cost"]
+    print(f"exchange cost (serial, uncombined, {cost['rows']} rows): "
+          f"{cost['hash_computations']} hashes "
+          f"(<= {cost['hash_computations_max']}), "
+          f"{cost['sizing_pickled_rows']} rows pickled to size it "
+          f"(<= {cost['sizing_pickled_rows_max']})")
+    violations = _cost_violations(cost)
+    if violations:
+        print(f"FAST PATH REGRESSION: exchange cost: "
+              f"{'; '.join(violations)}")
+        return 1
 
     worst = min(row["record_reduction_x"]
                 for row in payload["a4_combine"].values())

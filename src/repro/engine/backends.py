@@ -42,6 +42,7 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, List, Optional
 
+from repro.engine.shuffle import PICKLING_ERRORS
 from repro.engine.supervisor import (ExecutorLostError, RunResult,
                                      SupervisePolicy, TaskSupervisor,
                                      _Attempted)
@@ -224,7 +225,7 @@ class ProcessBackend(ExecutionBackend):
         try:
             pickle.dumps(obj)
             return True
-        except Exception:
+        except PICKLING_ERRORS:
             return False
 
     def _submit(self, task, arg):

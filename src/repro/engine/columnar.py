@@ -425,7 +425,7 @@ def shm_available() -> bool:
             seg.close()
             seg.unlink()
             _shm_probe = True
-        except Exception:
+        except OSError:
             _shm_probe = False
     return _shm_probe
 
@@ -563,7 +563,7 @@ class BatchBlock:
                 seg = shared_memory.SharedMemory(
                     name=_next_segment_name(shm_prefix), create=True,
                     size=max(1, len(payload)))
-            except Exception:
+            except OSError:
                 pass  # no shm here: ship the payload inline instead
             else:
                 seg.buf[:len(payload)] = payload

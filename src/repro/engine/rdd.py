@@ -40,13 +40,14 @@ from repro.engine.metrics import (STAGE_CACHED, STAGE_CHECKPOINT,
 # that import these names from this module.
 from repro.engine.columnar import BatchBlock
 from repro.engine.planner import (StatsCollector, analyze_job,
-                                  merge_split_outputs)
+                                  merge_split_outputs, piece_nbytes)
 from repro.engine.shuffle import (BroadcastHashJoinOp, CogroupJoinTask,
                                   HashPartitioner, MapShuffleTask,
                                   ReduceShuffleTask, ShuffleBlock,
                                   _canonical_bytes, _hash_partition,
-                                  _stable_hash, payload_bytes,
-                                  plan_range_partitioner)
+                                  _stable_hash, bounded_payload_bytes,
+                                  payload_bytes, plan_range_partitioner,
+                                  scatter)
 from repro.util.errors import EngineError
 
 __all__ = ["RDD", "JobRunner", "ShuffleSpec",
@@ -1144,8 +1145,9 @@ class JobRunner:
         blocks when the backend crosses a process boundary, compression
         is on, or the columnar engine runs (``BatchBlock``s then, shm-
         backed when the context enabled shared memory); otherwise plain
-        lists (and byte volume falls back to one pickle of the whole
-        exchange, as before).
+        lists that never cross a wall, whose byte volume is the
+        planner's stride-sampled estimate (:func:`piece_nbytes`) —
+        nothing is pickled just to be counted.
         """
         context = self.context
         backend = context.backend
@@ -1185,7 +1187,7 @@ class JobRunner:
                         self.shm_registry.track(
                             getattr(payload, "shm_name", None))
         if not seal:
-            b_moved = b_raw = b_pick = payload_bytes(pieces)
+            b_moved = b_raw = b_pick = _estimated_bytes(pieces)
         return pieces, (rec_in, rec_moved, b_moved, b_raw, b_shm,
                         b_pick), run
 
@@ -1253,15 +1255,16 @@ class JobRunner:
         The right side is always eligible; the left side only for inner
         joins (a left-outer join must emit unmatched *left* rows, which
         the probe side streams, so the left side has to stay big-side).
-        A measured size of 0 means the payload would not pickle.
-        Returns ``(small_is_right, table, serialized_bytes)``.
+        A side fits when its exact pickled size is within ``threshold``
+        (``None``: larger, and the count stopped there; 0: it would not
+        pickle). Returns ``(small_is_right, table, serialized_bytes)``.
         """
-        right_size = payload_bytes(right_parts)
-        if 0 < right_size <= threshold:
+        right_size = bounded_payload_bytes(right_parts, threshold)
+        if right_size:
             return True, _hash_table(right_parts), right_size
         if how == "inner":
-            left_size = payload_bytes(left_parts)
-            if 0 < left_size <= threshold:
+            left_size = bounded_payload_bytes(left_parts, threshold)
+            if left_size:
                 return False, _hash_table(left_parts), left_size
         return None
 
@@ -1299,15 +1302,20 @@ class JobRunner:
         with self._shuffle_lock:
             if key not in self._shuffles:
                 buckets: List[List[Any]] = [[] for _ in range(num_buckets)]
-                moved = 0
+                partitioner = HashPartitioner(bucket_fn, num_buckets)
                 for part in self.all_partitions(rdd):
-                    for item in part:
-                        buckets[_hash_partition(bucket_fn(item),
-                                                num_buckets)].append(item)
-                        moved += 1
+                    scatter(part, partitioner, buckets)
                 self._shuffles[key] = buckets
-                self.metrics.record_shuffle(moved, payload_bytes(buckets))
+                self.metrics.record_shuffle(
+                    sum(len(bucket) for bucket in buckets),
+                    _estimated_bytes([buckets]))
         return self._shuffles[key]
+
+
+def _estimated_bytes(pieces: List[List[Any]]) -> int:
+    """Sampled pickled size of an unsealed exchange, piece by piece —
+    the planner's own estimate, so metrics and plans read one number."""
+    return sum(piece_nbytes(piece) for plist in pieces for piece in plist)
 
 
 def _hash_table(parts: List[List[Any]]) -> Dict[Any, List[Any]]:
@@ -1329,7 +1337,3 @@ def _reshape(parts: List[List[Any]], num_partitions: int) -> List[List[Any]]:
     tail = [x for part in parts[num_partitions - 1:] for x in part]
     head.append(tail)
     return head
-
-
-# back-compat alias: pre-fast-path callers measured payloads through here
-_payload_bytes = payload_bytes

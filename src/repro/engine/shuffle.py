@@ -22,6 +22,8 @@ records each hop.
 The deterministic key hashing (`_canonical_bytes` / `_stable_hash` /
 `_hash_partition`) lives here too; :mod:`repro.engine.rdd` re-exports
 it unchanged — CRC32 bucket placement is frozen by regression tests.
+:func:`scatter` is the one loop that applies it: a placement is computed
+once per distinct key per map chunk, never once per record.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ def _canonical_bytes(key: Any) -> bytes:
         return b"N"
     if isinstance(key, bool):
         key = int(key)
-    if isinstance(key, float) and key.is_integer() and abs(key) < 2 ** 63:
-        key = int(key)
+    if isinstance(key, float) and key.is_integer():
+        key = int(key)      # exact for every finite integral float
     if isinstance(key, int):
         return b"i" + str(key).encode("ascii")
     if isinstance(key, float):
@@ -135,6 +137,53 @@ class RangePartitioner:
     def __call__(self, item: Any) -> int:
         index = bisect.bisect_right(self.cuts, self.key_fn(item))
         return len(self.cuts) - index if self.descending else index
+
+
+def scatter(items: List[Any], partitioner: Optional[Callable[[Any], int]],
+            buckets: List[List[Any]], offset: int = 0) -> None:
+    """Append every item to its bucket's list, in arrival order.
+
+    The exchange's inner loop, so the two built-in partitioners are
+    resolved here instead of being called once per item; placement is
+    exactly their ``__call__``'s. A hash placement is computed once per
+    distinct key of *this call*: the memo is a local that dies with it.
+    Only keys whose exact class is ``int`` or ``str`` go through the
+    memo, because only for those is dict equality the same relation as
+    canonical-bytes equality (``Decimal(1) == 1`` and ``True == 1``, but
+    neither may answer for — or be answered by — the other's entry).
+    ``partitioner`` of ``None`` round-robins by ``offset`` + position.
+    """
+    n = len(buckets)
+    appends = [bucket.append for bucket in buckets]
+    if partitioner is None:
+        for i, item in enumerate(items, offset):
+            appends[i % n](item)
+    elif type(partitioner) is HashPartitioner:
+        key_fn = partitioner.key_fn
+        crc32 = zlib.crc32
+        memo: dict = {}
+        lookup = memo.get
+        for item in items:
+            key = key_fn(item)
+            cls = type(key)
+            if cls is int or cls is str:
+                b = lookup(key)
+                if b is None:
+                    b = memo[key] = (crc32(b"i%d" % key) % n if cls is int
+                                     else _hash_partition(key, n))
+            else:
+                b = _hash_partition(key, n)
+            appends[b](item)
+    elif type(partitioner) is RangePartitioner:
+        key_fn, cuts = partitioner.key_fn, partitioner.cuts
+        if partitioner.descending:
+            appends = appends[len(cuts)::-1]
+        bisect_right = bisect.bisect_right
+        for item in items:
+            appends[bisect_right(cuts, key_fn(item))](item)
+    else:
+        for item in items:
+            appends[partitioner(item)](item)
 
 
 def plan_range_partitioner(parts: List[List[Any]], num_buckets: int,
@@ -307,13 +356,7 @@ class MapShuffleTask:
         offset, items = chunk
         n = self.num_buckets
         buckets: List[List[Any]] = [[] for _ in range(n)]
-        place = self.partitioner
-        if place is None:
-            for i, item in enumerate(items):
-                buckets[(offset + i) % n].append(item)
-        else:
-            for item in items:
-                buckets[place(item)].append(item)
+        scatter(items, self.partitioner, buckets, offset)
         records_in = len(items)
         combine = self.combiner
         if combine is not None:
@@ -391,16 +434,22 @@ class BroadcastHashJoinOp:
             for key, left_value in part:
                 matches = table.get(key)
                 if matches:
-                    out.extend((key, (left_value, right_value))
-                               for right_value in matches)
+                    if len(matches) == 1:   # the dimension-table case
+                        out.append((key, (left_value, matches[0])))
+                    else:
+                        out.extend((key, (left_value, right_value))
+                                   for right_value in matches)
                 elif left_outer:
                     out.append((key, (left_value, None)))
         else:  # inner join probing the right side against a left table
             for key, right_value in part:
                 matches = table.get(key)
                 if matches:
-                    out.extend((key, (left_value, right_value))
-                               for left_value in matches)
+                    if len(matches) == 1:
+                        out.append((key, (matches[0], right_value)))
+                    else:
+                        out.extend((key, (left_value, right_value))
+                                   for left_value in matches)
         return out
 
 
@@ -434,7 +483,11 @@ class CogroupJoinTask:
         out: List[Any] = []
         left_outer = self.how == "left"
         for key, (lefts, rights) in grouped.items():
-            if rights:
+            if len(rights) == 1:            # the dimension-table case
+                right_value = rights[0]
+                for left_value in lefts:
+                    out.append((key, (left_value, right_value)))
+            elif rights:
                 out.extend((key, (left_value, right_value))
                            for left_value in lefts
                            for right_value in rights)
@@ -452,3 +505,42 @@ def payload_bytes(partitions: List[List[Any]]) -> int:
                                 protocol=pickle.HIGHEST_PROTOCOL))
     except PICKLING_ERRORS:
         return 0
+
+
+class _OverLimit(Exception):
+    """Raised by :class:`_ByteCounter` to abandon a pickle mid-stream."""
+
+
+class _ByteCounter:
+    """Write-only sink for ``pickle.Pickler``: counts, stores nothing."""
+
+    __slots__ = ("size", "limit")
+
+    def __init__(self, limit: int):
+        self.size = 0
+        self.limit = limit
+
+    def write(self, data) -> None:
+        self.size += len(data)
+        if self.size > self.limit:
+            raise _OverLimit
+
+
+def bounded_payload_bytes(partitions: List[List[Any]],
+                          limit: int) -> Optional[int]:
+    """:func:`payload_bytes` when that is at most ``limit``, else ``None``.
+
+    The pickler streams into a counter that gives up one frame (64 KiB)
+    past ``limit``, so asking "does this side fit?" costs O(limit), not
+    O(side). The bytes counted are the bytes ``pickle.dumps`` returns;
+    0 still means the payload would not pickle.
+    """
+    counter = _ByteCounter(limit)
+    try:
+        pickle.Pickler(counter, protocol=pickle.HIGHEST_PROTOCOL).dump(
+            partitions)
+    except _OverLimit:
+        return None
+    except PICKLING_ERRORS:
+        return 0
+    return counter.size

@@ -64,6 +64,19 @@ class TestHashSemantics:
                 == _hash_partition(-0.0, parts) \
                 == _hash_partition(False, parts)
 
+    def test_integral_floats_beyond_int64_share_a_bucket(self):
+        # pinned bug: the float→int normalization stopped at 2**63, so
+        # 2**63 == float(2**63) hashed apart (buckets 4 and 1 of 8)
+        for big in (2 ** 63, -(2 ** 63), 10 ** 19, 2 ** 200):
+            assert big == float(big)
+            assert _canonical_bytes(float(big)) == _canonical_bytes(big)
+            assert _hash_partition(float(big), 8) == _hash_partition(big, 8)
+        # below the old guard nothing moved
+        assert _canonical_bytes(float(2 ** 62)) == b"i%d" % 2 ** 62
+        # not integral: still tagged as floats, still apart
+        for odd in (float("inf"), float("-inf"), float("nan"), 0.5):
+            assert _canonical_bytes(odd) == b"f" + repr(odd).encode("ascii")
+
     def test_distinct_types_stay_distinct(self):
         # "1" and 1 are *not* equal; tags keep them apart
         assert _canonical_bytes("1") != _canonical_bytes(1)

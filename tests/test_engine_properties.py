@@ -7,6 +7,8 @@ agree with the builtins, and shuffles merge keys that Python considers
 equal (including the nasty cross-type ``1 == 1.0 == True`` cases).
 """
 
+from decimal import Decimal
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -334,3 +336,75 @@ def test_columnar_outputs_identical_under_speculation():
                .reduce_by_key(lambda a, b: a + b).collect())
     assert got == expected
     assert list_segments(SHM_BASE_PREFIX) == []
+
+
+# ------------------------------------------------------- exchange placement
+#: everything a shuffle key has been seen to be, chosen to collide as
+#: dict keys wherever Python lets two classes compare equal
+_colliding = st.sampled_from([1, 1.0, True, Decimal(1), 0, -0.0, 0.0, False,
+                              2 ** 63, float(2 ** 63), 10 ** 19, 1e19,
+                              -(2 ** 70), 2, 2.5, Decimal("2.5"), None,
+                              b"", b"raw", "1", "", "\ud800lone", "γ"])
+_placement_scalars = st.one_of(
+    _colliding, _colliding, _colliding,
+    st.integers(-3, 3),
+    st.integers(-2 ** 80, 2 ** 80),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+)
+_placement_keys = st.one_of(
+    _placement_scalars, _placement_scalars, _placement_scalars,
+    st.tuples(_placement_scalars),
+    st.tuples(_placement_scalars,
+              st.tuples(_placement_scalars, _placement_scalars)),
+    st.frozensets(st.one_of(st.integers(-2, 2), st.booleans(),
+                            st.sampled_from([1.0, "a", None])),
+                  max_size=3),
+)
+
+
+def _pair_key(item):
+    return item[0]
+
+
+@given(keys=st.lists(_placement_keys, max_size=60),
+       width=st.integers(1, 9), offset=st.integers(0, 1000))
+@settings(max_examples=200, deadline=None)
+def test_map_task_places_every_item_where_the_partitioner_says(
+        keys, width, offset):
+    """The inlined hash loop and its chunk-local memo are invisible:
+    each item sits in bucket ``_hash_partition(key, n)``, and a bucket
+    keeps arrival order — for any mix of equal-but-different-class keys
+    in any order."""
+    from repro.engine.shuffle import (HashPartitioner, MapShuffleTask,
+                                      _hash_partition)
+    items = [(key, position) for position, key in enumerate(keys)]
+    out = MapShuffleTask(HashPartitioner(_pair_key, width), width)(
+        (offset, items))
+    expected = [[] for _ in range(width)]
+    for item in items:
+        expected[_hash_partition(item[0], width)].append(item)
+    # positions tell apart items whose keys compare equal (1 vs 1.0)
+    assert [[pos for _key, pos in bucket] for bucket in out.buckets] \
+        == [[pos for _key, pos in bucket] for bucket in expected]
+    assert (out.records_in, out.records_out) == (len(items), len(items))
+
+
+@pytest.mark.parametrize("descending", [False, True])
+@given(keys=st.lists(st.one_of(st.integers(-20, 20),
+                               st.sampled_from([0.5, -0.0, 7.0, 1e19])),
+                     max_size=60),
+       cuts=st.lists(st.integers(-20, 20), max_size=6))
+@SETTINGS
+def test_map_task_range_placement_matches_partitioner_call(
+        descending, keys, cuts):
+    from repro.engine.shuffle import MapShuffleTask, RangePartitioner
+    cuts = sorted(cuts)
+    width = len(cuts) + 1
+    place = RangePartitioner(_pair_key, cuts, descending=descending)
+    items = [(key, position) for position, key in enumerate(keys)]
+    out = MapShuffleTask(place, width)((0, items))
+    expected = [[] for _ in range(width)]
+    for item in items:
+        expected[place(item)].append(item)
+    assert out.buckets == expected

@@ -9,10 +9,14 @@ that broke, not three stages downstream.
 
 import operator
 import pickle
+import random
+import zlib
 
 import pytest
 
+from repro.engine import shuffle
 from repro.engine.context import SparkLiteContext
+from repro.engine.planner import DEFAULT_SAMPLE_ROWS
 from repro.engine.rdd import (JobRunner, _DistinctOp, _ReduceByKeyOp,
                               _pair_key)
 from repro.engine.shuffle import (DEFAULT_COMPRESS_THRESHOLD,
@@ -20,8 +24,8 @@ from repro.engine.shuffle import (DEFAULT_COMPRESS_THRESHOLD,
                                   HashPartitioner, MapShuffleTask,
                                   RangePartitioner, ReduceShuffleTask,
                                   ShuffleBlock, _hash_partition,
-                                  merge_pieces, payload_bytes,
-                                  plan_range_partitioner)
+                                  bounded_payload_bytes, merge_pieces,
+                                  payload_bytes, plan_range_partitioner)
 
 
 # ------------------------------------------------------------------- blocks
@@ -139,6 +143,43 @@ class TestMapShuffleTask:
         for index, bucket in enumerate(out.buckets):
             assert all(_hash_partition(k, 4) == index for k, _ in bucket)
 
+    def test_one_hash_per_distinct_key_per_chunk(self, monkeypatch):
+        """Cost by call count: 100 k rows over 100 int keys hash 100
+        times, not 100 k — and a second chunk starts from nothing."""
+        calls = []
+        real_crc32 = zlib.crc32
+
+        def counting_crc32(data, *args):
+            calls.append(data)
+            return real_crc32(data, *args)
+        monkeypatch.setattr(zlib, "crc32", counting_crc32)
+        task = MapShuffleTask(HashPartitioner(_pair_key, 8), 8)
+        pairs = [(k % 100, k) for k in range(100_000)]
+        out = task((0, pairs))
+        assert len(calls) <= 100
+        assert sorted(calls) == sorted(b"i%d" % k for k in range(100))
+        task((0, pairs[:1000]))     # the memo died with the first call
+        assert len(calls) == 200
+        assert out.records_out == 100_000
+        for index, bucket in enumerate(out.buckets):
+            assert [v for _k, v in bucket] == sorted(v for _k, v in bucket)
+            assert {real_crc32(b"i%d" % k) % 8 for k, _v in bucket} \
+                <= {index}
+
+    def test_equal_keys_of_other_classes_never_read_the_memo(self):
+        """``Decimal(1) == 1 == True == 1.0`` as dict keys, but only the
+        exact int may use the int's memo entry: each of the others goes
+        where its own canonical bytes say, before and after the int."""
+        from decimal import Decimal
+        keys = [Decimal(1), True, 1.0, 1, Decimal(1), True, 1.0, 1]
+        out = MapShuffleTask(HashPartitioner(_pair_key, 64), 64)(
+            (0, [(key, i) for i, key in enumerate(keys)]))
+        placed = {i: index for index, bucket in enumerate(out.buckets)
+                  for _key, i in bucket}
+        assert [placed[i] for i in range(len(keys))] \
+            == [_hash_partition(key, 64) for key in keys]
+        assert _hash_partition(Decimal(1), 64) != _hash_partition(1, 64)
+
     def test_combiner_shrinks_records_out(self):
         task = MapShuffleTask(HashPartitioner(lambda kv: kv[0], 2), 2,
                               combiner=_ReduceByKeyOp(operator.add))
@@ -219,7 +260,151 @@ class TestJoinOps:
         assert pick(small, big, "left", fits) is None
 
 
+class TestBoundedPayloadBytes:
+    """``_broadcast_side``'s "does it fit?" — the exact size when it
+    does, at the cost of the threshold when it does not."""
+
+    SIDE = [[(k, f"dim-{k % 97}") for k in range(part * 500,
+                                                 part * 500 + 500)]
+            for part in range(4)]
+
+    def test_exact_at_and_under_the_limit_none_above(self):
+        exact = payload_bytes(self.SIDE)
+        assert exact > 64                 # a real payload, several frames
+        assert bounded_payload_bytes(self.SIDE, exact + 1) == exact
+        assert bounded_payload_bytes(self.SIDE, exact) == exact
+        assert bounded_payload_bytes(self.SIDE, exact - 1) is None
+        pick = JobRunner._broadcast_side
+        big = [[(k, k) for k in range(40_000)]]
+        assert pick(big, self.SIDE, "inner", exact)[2] == exact
+        assert pick(big, self.SIDE, "inner", exact + 1)[2] == exact
+        assert pick(big, self.SIDE, "inner", exact - 1) is None
+
+    @pytest.mark.parametrize("rows", [0, 1, 9, 700, 40_000])
+    def test_same_bytes_as_dumps_across_frame_boundaries(self, rows):
+        rng = random.Random(rows)
+        side = [[(rng.randrange(1000), "v" * rng.randrange(40), (i, None))
+                 for i in range(rows)], [], [b"raw" * 30_000]]
+        exact = payload_bytes(side)
+        assert bounded_payload_bytes(side, exact) == exact
+        assert bounded_payload_bytes(side, 1 << 40) == exact
+        assert bounded_payload_bytes(side, exact - 1) is None
+
+    def test_unpicklable_side_measures_zero(self):
+        side = [[(1, (x for x in range(3)))]]
+        assert payload_bytes(side) == 0
+        assert bounded_payload_bytes(side, 1 << 20) == 0
+        big = [[(k, k) for k in range(2000)]]
+        assert JobRunner._broadcast_side(big, side, "left", 1 << 20) is None
+
+    def test_oversized_side_costs_the_threshold_not_the_side(
+            self, monkeypatch):
+        written = []
+
+        class Recording(shuffle._ByteCounter):
+            __slots__ = ()
+
+            def write(self, data):
+                written.append(len(data))
+                super().write(data)
+        monkeypatch.setattr(shuffle, "_ByteCounter", Recording)
+        threshold = 256 * 1024
+        side = [[(k, f"dim-{k}-" + "x" * 24) for k in range(part, 120_000, 4)]
+                for part in range(4)]
+        assert payload_bytes(side) > 5_000_000
+        small = [[(1, "a")]]
+        # right side too big, left side fits: the inner join flips sides
+        small_is_right, _table, nbytes = JobRunner._broadcast_side(
+            small, side, "inner", threshold)
+        assert small_is_right is False and nbytes == payload_bytes(small)
+        right, left = written[:-1], written[-1]
+        assert left == nbytes
+        assert threshold < sum(right) <= threshold + 64 * 1024 + 1024
+
+
 # ----------------------------------------------------- metrics through jobs
+def _wide_rows(rng, rows):
+    return [(rng.randrange(4096), f"record-{i % 7}-" + "payload" * 4)
+            for i in range(rows)]
+
+
+def _counting_dumps(pickled):
+    """A ``pickle.dumps`` that first appends to ``pickled`` how many
+    rows (non-list leaves) the object it was handed holds."""
+    real_dumps = pickle.dumps
+
+    def rows_in(obj):
+        if isinstance(obj, list):
+            return sum(rows_in(item) for item in obj)
+        return 1
+
+    def counting_dumps(obj, *args, **kwargs):
+        pickled.append(rows_in(obj))
+        return real_dumps(obj, *args, **kwargs)
+    return counting_dumps
+
+
+def _shuffle_stats(sc, parts, partitioner, combiner=None):
+    """``_exchange_parts`` directly: the pieces and the byte count the
+    job metrics would report for them."""
+    pieces, stats, _run = JobRunner(sc)._exchange_parts(
+        parts, len(parts), partitioner, combiner)
+    return pieces, stats[2]
+
+
+class TestSampledShuffleBytes:
+    """An exchange that stays in the process is sized from the planner's
+    stride sample, never pickled to be counted."""
+
+    def test_unsealed_exchange_pickles_only_samples(self, monkeypatch):
+        rows = [(k % 5000, "v") for k in range(200_000)]
+        pickled = []
+        with SparkLiteContext(parallelism=2, backend="thread") as sc:
+            data = sc.parallelize(rows, 4)
+            monkeypatch.setattr(pickle, "dumps", _counting_dumps(pickled))
+            grouped = data.group_by_key(4).collect()
+            metrics = sc.last_job_metrics
+        monkeypatch.undo()
+        assert len(grouped) == 5000
+        assert metrics.shuffle_records_moved == 200_000
+        assert len(pickled) == 4 * 4            # one sample per piece
+        assert max(pickled) <= DEFAULT_SAMPLE_ROWS
+        assert metrics.shuffle_bytes > 0
+
+    @pytest.mark.parametrize("shape", ["group_wide", "join_dim_shuffle",
+                                       "sort_wide"])
+    def test_estimate_within_15_percent_of_exact(self, shape):
+        rng = random.Random(7)
+        if shape == "join_dim_shuffle":
+            rows = [(k, f"dim-{k}-" + "x" * 24) for k in range(40_000)]
+        else:
+            rows = _wide_rows(rng, 60_000)
+        parts = [rows[i::8] for i in range(8)]
+        if shape == "sort_wide":
+            partitioner = plan_range_partitioner(parts, 8, _pair_key)
+        else:
+            partitioner = HashPartitioner(_pair_key, 8)
+        with SparkLiteContext(parallelism=2, backend="serial") as sc:
+            pieces, estimated = _shuffle_stats(sc, parts, partitioner)
+        exact = payload_bytes(pieces)
+        assert abs(estimated - exact) <= 0.15 * exact
+
+    def test_cogroup_memo_is_sized_the_same_way(self, monkeypatch):
+        pickled = []
+        with SparkLiteContext(parallelism=2, backend="serial") as sc:
+            left = sc.parallelize([(k % 50, k) for k in range(20_000)], 4)
+            right = sc.parallelize([(k, -k) for k in range(50)], 2)
+            monkeypatch.setattr(pickle, "dumps", _counting_dumps(pickled))
+            grouped = left.cogroup(right, 4).collect()
+            metrics = sc.last_job_metrics
+        monkeypatch.undo()
+        assert sorted(k for k, _ in grouped) == list(range(50))
+        assert all(len(ls) == 400 and rs == [-k] for k, (ls, rs) in grouped)
+        assert metrics.shuffle_records == 20_050
+        assert metrics.shuffle_bytes > 0
+        assert max(pickled) <= DEFAULT_SAMPLE_ROWS
+
+
 class TestShuffleMetrics:
     def test_records_pre_and_post_combine(self):
         with SparkLiteContext(parallelism=2, backend="serial") as sc:
@@ -261,3 +446,27 @@ class TestShuffleMetrics:
 
     def test_pair_key_helper(self):
         assert _pair_key((3, "v")) == 3
+
+
+class TestLargeIntegralFloatKeys:
+    """Pinned: ``2**63 == float(2**63)`` are one key. The canonical
+    encoding only normalized integral floats below 2**63, so these two
+    rows hashed to buckets 4 and 1 of 8 and came back unmerged."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_reduce_by_key_merges_them(self, backend):
+        with SparkLiteContext(parallelism=2, backend=backend) as sc:
+            out = (sc.parallelize([(2 ** 63, 1), (float(2 ** 63), 1),
+                                   (10 ** 19, 5), (1e19, 7)], 2)
+                   .reduce_by_key(operator.add, 8).collect())
+        assert sorted(out) == [(2 ** 63, 2), (10 ** 19, 12)]
+
+    def test_shuffled_join_matches_them(self):
+        with SparkLiteContext(parallelism=2, backend="serial") as sc:
+            left = sc.parallelize([(2 ** 63, "int"), (3, "small")], 2)
+            right = sc.parallelize([(float(2 ** 63), "float"),
+                                    (3.0, "small")], 2)
+            out = left.join(right, 8).collect()
+            assert sc.last_job_metrics.broadcast_joins == 0
+        assert sorted(out, key=lambda kv: kv[0]) == [
+            (3, ("small", "small")), (2 ** 63, ("int", "float"))]

@@ -42,8 +42,10 @@ echo "== pytest (chaos suite) =="
 with_timeout python -m pytest -x -q -m chaos
 
 echo "== benchmark smoke (engine fast path) =="
-# small-scale A4 run: proves the combine reduction holds and leaves the
-# BENCH_engine.json perf-trajectory artifact for the PR
+# small-scale A4 run: proves the combine reduction holds, gates what the
+# exchange costs by count (<= one hash per distinct key per map chunk,
+# sizing pickles only the stride sample of each piece; serial arm, full
+# 60k rows) and leaves the BENCH_engine.json perf-trajectory artifact
 python benchmarks/bench_a4_shuffle_combine.py \
     --smoke --json benchmarks/out/BENCH_engine.json
 
