@@ -14,7 +14,7 @@ from typing import Dict, List
 from repro.engine.context import SparkLiteContext
 from repro.graph.bipartite import BipartiteGraph
 from repro.metrics.ecdf import EmpiricalCDF
-from repro.viz.ascii import ascii_cdf
+from repro.viz.ascii import ascii_series
 
 
 @dataclass
@@ -28,9 +28,9 @@ class InvestorActivity:
     mean_follows_per_investor: float
 
     def render_cdf(self) -> str:
-        xs, _ys = self.investments_cdf.series()
-        return ascii_cdf(list(self.investments_cdf._sorted),
-                         label="investments per investor")
+        xs, ys = self.investments_cdf.series()
+        return ascii_series(xs, ys, x_label="investments per investor",
+                            y_label="F(x)")
 
 
 def compute_investor_activity(sc: SparkLiteContext, dfs,

@@ -83,9 +83,8 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
                         help="adaptive query planning: sample stage "
                              "cardinalities at runtime, coalesce "
                              "undersized post-shuffle partitions, split "
-                             "skewed buckets, choose broadcast joins from "
-                             "observed sizes and push filters/projections "
-                             "into dataset scans; results are "
+                             "skewed buckets and choose broadcast joins "
+                             "from observed sizes; results are "
                              "byte-identical to the static plans")
     parser.add_argument("--target-partition-bytes", type=int,
                         default=1 << 20, metavar="BYTES",

@@ -13,6 +13,7 @@ from repro.crawl.enrich import EnrichResult, FacebookCrawler, TwitterCrawler
 from repro.crawl.frontier import BfsCrawler, CrawlResult
 from repro.crawl.tokens import TokenPool
 from repro.dfs.filesystem import MiniDfs
+from repro.engine.cache import STORAGE_DFS, STORAGE_MEMORY
 from repro.engine.context import SparkLiteContext
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.build import build_investor_graph
@@ -55,9 +56,9 @@ class PlatformConfig:
     #: opts in because its dimension tables are small)
     broadcast_join_threshold: int = 256 * 1024
     # ---- adaptive planning (see DESIGN.md "Adaptive planning") ----
-    #: runtime stats sampling + partition coalescing, skew splitting,
-    #: observed-size broadcast decisions and scan pushdown (results
-    #: byte-identical to the static plans)
+    #: runtime stats sampling + partition coalescing, skew splitting
+    #: and observed-size broadcast decisions (results byte-identical to
+    #: the static plans)
     engine_adaptive: bool = False
     #: the adaptive planner's post-shuffle partition size target
     target_partition_bytes: int = 1 << 20
@@ -148,6 +149,10 @@ class ExploratoryPlatform:
                  config: Optional[PlatformConfig] = None):
         self.world = world
         self.config = config or PlatformConfig()
+        if self.config.persist_datasets not in (STORAGE_MEMORY, STORAGE_DFS):
+            raise ConfigError(
+                f"persist_datasets must be {STORAGE_MEMORY!r} or "
+                f"{STORAGE_DFS!r}, got {self.config.persist_datasets!r}")
         self.clock = SimClock()
         self.hub = SourceHub.from_world(world, clock=self.clock,
                                         latency=self.config.latency,
@@ -274,7 +279,7 @@ class ExploratoryPlatform:
         self._persist_crawl_datasets()
         return self.crawl_summary
 
-    #: the dataset directories every analysis reads (§4–§7 pipelines)
+    #: every dataset directory a full crawl lands (§3)
     CRAWL_DATASET_DIRS = (
         "/crawl/angellist/startups",
         "/crawl/angellist/users",
@@ -285,18 +290,26 @@ class ExploratoryPlatform:
         "/crawl/twitter/profiles",
     )
 
+    #: the landed datasets more than one pipeline job reads; users,
+    #: investments and follow_edges have one reader each, so caching
+    #: them would only hold a second copy of 90 % of the crawl
+    PERSISTED_DATASET_DIRS = (
+        "/crawl/angellist/startups",        # 3: engagement, prediction, facts
+        "/crawl/crunchbase/organizations",  # 3: graph, engagement, prediction
+        "/crawl/facebook/pages",            # 2: engagement, prediction
+        "/crawl/twitter/profiles",          # 2: engagement, prediction
+    )
+
     def _persist_crawl_datasets(self) -> None:
-        """Mark the crawl datasets persisted so the analytics pipeline
-        (graph build → CoDA → engagement → prediction) scans each part
-        file once; the context dedupes ``json_dataset`` by directory, so
-        every later job hits the same persisted lineage node."""
-        from repro.util.errors import EngineError
-        for directory in self.CRAWL_DATASET_DIRS:
-            try:
+        """Mark the shared crawl datasets persisted so the analytics
+        pipeline (graph build → engagement → prediction) scans each of
+        their part files once; the context dedupes ``json_dataset`` by
+        directory, so every later job hits the same persisted lineage
+        node. A directory this crawl landed nothing in is skipped."""
+        for directory in self.PERSISTED_DATASET_DIRS:
+            if self.dfs.glob_parts(directory):
                 self.sc.json_dataset(self.dfs, directory).persist(
                     self.config.persist_datasets)
-            except EngineError:
-                continue  # dataset not produced by this crawl; skip
 
     # ------------------------------------------------------------------ data
     def require_crawled(self) -> None:

@@ -16,12 +16,12 @@ throughput and retry overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.crawl.breaker import CircuitBreaker
 from repro.crawl.deadletter import DeadLetter, DeadLetterQueue
 from repro.crawl.tokens import TokenPool
-from repro.net.http import (CorruptPayload, Response, SimServer,
+from repro.net.http import (CorruptPayload, Request, Response, SimServer,
                             STATUS_RESET, STATUS_TIMEOUT, TIMEOUT_HEADER)
 from repro.util.clock import Clock
 from repro.util.errors import (AuthError, CrawlError, DeadLetterError,
@@ -32,6 +32,7 @@ from repro.util.rng import derive_seed
 AUTH_BEARER = "bearer"          # Authorization: Bearer <token> (AngelList)
 AUTH_QUERY_ACCESS_TOKEN = "access_token"  # ?access_token= (Facebook, Twitter)
 AUTH_QUERY_USER_KEY = "user_key"          # ?user_key= (CrunchBase)
+AUTH_STYLES = (AUTH_BEARER, AUTH_QUERY_ACCESS_TOKEN, AUTH_QUERY_USER_KEY)
 
 
 @dataclass
@@ -121,6 +122,8 @@ class ApiClient:
         if not 0.0 <= backoff_jitter <= 1.0:
             raise CrawlError(f"backoff_jitter must be in [0, 1], "
                              f"got {backoff_jitter}")
+        if auth_style not in AUTH_STYLES:
+            raise CrawlError(f"unknown auth style {auth_style!r}")
         self.server = server
         self.clock = clock
         self.auth_style = auth_style
@@ -135,6 +138,10 @@ class ApiClient:
         self.breaker = breaker
         self.dead_letters = dead_letters
         self.stats = ClientStats()
+        #: what every request's headers start from; a bearer client
+        #: keeps one finished dict per credential beside it
+        self._base_headers = {TIMEOUT_HEADER: f"{request_timeout_s:.3f}"}
+        self._bearer_headers: Dict[str, Dict[str, str]] = {}
         if self._token is None and token_refresher is not None and token_pool is None:
             self._token = token_refresher()
 
@@ -148,22 +155,19 @@ class ApiClient:
 
     def _send(self, method: str, path: str, params: Dict[str, Any],
               credential: str) -> Response:
-        params = dict(params)
-        headers: Dict[str, str] = {
-            TIMEOUT_HEADER: f"{self.request_timeout_s:.3f}"}
+        if method not in ("GET", "POST"):
+            raise CrawlError(f"unsupported method {method!r}")
         if self.auth_style == AUTH_BEARER:
-            headers["Authorization"] = f"Bearer {credential}"
-        elif self.auth_style == AUTH_QUERY_ACCESS_TOKEN:
-            params["access_token"] = credential
-        elif self.auth_style == AUTH_QUERY_USER_KEY:
-            params["user_key"] = credential
+            headers = self._bearer_headers.get(credential)
+            if headers is None:
+                headers = self._bearer_headers[credential] = {
+                    **self._base_headers,
+                    "Authorization": f"Bearer {credential}"}
         else:
-            raise CrawlError(f"unknown auth style {self.auth_style!r}")
-        if method == "GET":
-            return self.server.get(path, params, headers)
-        if method == "POST":
-            return self.server.post(path, params, headers)
-        raise CrawlError(f"unsupported method {method!r}")
+            # the query-credential styles are named after their parameter
+            headers = self._base_headers
+            params = {**params, self.auth_style: credential}
+        return self.server.handle(Request(method, path, params, headers))
 
     def _sleep(self, seconds: float) -> None:
         self.stats.slept_seconds += seconds
@@ -310,18 +314,26 @@ class ApiClient:
             tag: Optional[Dict[str, Any]] = None) -> Optional[Any]:
         return self.request("GET", path, params, allow_not_found, tag=tag)
 
-    def paged(self, path: str, params: Optional[Dict[str, Any]] = None,
-              items_key: str = "items"):
-        """Iterate a paginated endpoint, yielding items across pages."""
+    def pages(self, path: str, params: Optional[Dict[str, Any]] = None,
+              items_key: str = "items") -> Iterator[List[Any]]:
+        """Iterate a paginated endpoint, yielding each page's items.
+
+        A page is requested only once the caller asks for it, i.e.
+        after it is done with the one before.
+        """
         params = dict(params or {})
         page = 1
         while True:
             params["page"] = page
             body = self.get(path, params)
-            items = body.get(items_key, [])
-            for item in items:
-                yield item
+            yield body.get(items_key, [])
             last = int(body.get("last_page", page))
             if page >= last:
                 return
             page += 1
+
+    def paged(self, path: str, params: Optional[Dict[str, Any]] = None,
+              items_key: str = "items") -> Iterator[Any]:
+        """Iterate a paginated endpoint, yielding items across pages."""
+        for items in self.pages(path, params, items_key):
+            yield from items

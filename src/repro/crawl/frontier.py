@@ -187,13 +187,11 @@ class BfsCrawler:
             if self.checkpoint:
                 self._write_checkpoint(state, writers)
 
-        interrupted = bool(state.frontier_startups or state.frontier_users)
-        if interrupted and self.checkpoint:
-            # Leave the frontier in the checkpoint so run(resume=True)
-            # picks up exactly where the budget cut us off.
-            pass
-        else:
+        if not self.checkpoint:
             # Profile any startups/users discovered but not yet fetched.
+            # (A checkpointed crawl leaves them in the checkpoint's
+            # frontier instead, so run(resume=True) picks up exactly
+            # where the budget cut it off.)
             for sid in state.frontier_startups:
                 writers["startups"].write(client.get(f"/1/startups/{sid}"))
                 state.startup_records += 1
@@ -240,62 +238,68 @@ class BfsCrawler:
     def _run_round(self, state: _CrawlState,
                    writers: Dict[str, JsonLinesWriter]) -> None:
         client = self.client
-        stats = RoundStats(round_index=state.round_index)
         next_users: List[int] = []
         next_startups: List[int] = []
+
+        seen_startups, seen_users = state.seen_startups, state.seen_users
+        write_follow = writers["follow_edges"].write
+        write_investment = writers["investments"].write
 
         for sid in state.frontier_startups:
             if not self._budget_left(state):
                 break
             writers["startups"].write(client.get(f"/1/startups/{sid}"))
             state.startup_records += 1
-            for follower in client.paged(f"/1/startups/{sid}/followers",
-                                         items_key="users"):
-                uid = int(follower["id"])
-                if uid not in state.seen_users:
-                    state.seen_users.add(uid)
-                    next_users.append(uid)
-                    stats.new_users += 1
+            for followers in client.pages(f"/1/startups/{sid}/followers",
+                                          items_key="users"):
+                for follower in followers:
+                    uid = int(follower["id"])
+                    if uid not in seen_users:
+                        seen_users.add(uid)
+                        next_users.append(uid)
 
         for uid in state.frontier_users:
             if not self._budget_left(state):
                 break
             writers["users"].write(client.get(f"/1/users/{uid}"))
             state.user_records += 1
-            for item in client.paged(f"/1/users/{uid}/following",
-                                     {"type": "startup"}):
-                cid = int(item["id"])
-                writers["follow_edges"].write(
-                    {"src_user": uid, "dst_type": "startup", "dst_id": cid})
-                state.follow_edges += 1
-                if cid not in state.seen_startups:
-                    state.seen_startups.add(cid)
-                    next_startups.append(cid)
-                    stats.new_startups += 1
-            for item in client.paged(f"/1/users/{uid}/following",
-                                     {"type": "user"}):
-                fid = int(item["id"])
-                writers["follow_edges"].write(
-                    {"src_user": uid, "dst_type": "user", "dst_id": fid})
-                state.follow_edges += 1
-                if fid not in state.seen_users:
-                    state.seen_users.add(fid)
-                    next_users.append(fid)
-                    stats.new_users += 1
-            for item in client.paged(f"/1/users/{uid}/investments",
-                                     items_key="investments"):
-                cid = int(item["startup_id"])
-                writers["investments"].write(
-                    {"investor_id": uid, "company_id": cid})
-                state.investment_edges += 1
-                if cid not in state.seen_startups:
-                    state.seen_startups.add(cid)
-                    next_startups.append(cid)
-                    stats.new_startups += 1
+            for items in client.pages(f"/1/users/{uid}/following",
+                                      {"type": "startup"}):
+                for item in items:
+                    cid = int(item["id"])
+                    write_follow({"src_user": uid, "dst_type": "startup",
+                                  "dst_id": cid})
+                    if cid not in seen_startups:
+                        seen_startups.add(cid)
+                        next_startups.append(cid)
+                state.follow_edges += len(items)
+            for items in client.pages(f"/1/users/{uid}/following",
+                                      {"type": "user"}):
+                for item in items:
+                    fid = int(item["id"])
+                    write_follow({"src_user": uid, "dst_type": "user",
+                                  "dst_id": fid})
+                    if fid not in seen_users:
+                        seen_users.add(fid)
+                        next_users.append(fid)
+                state.follow_edges += len(items)
+            for items in client.pages(f"/1/users/{uid}/investments",
+                                      items_key="investments"):
+                for item in items:
+                    cid = int(item["startup_id"])
+                    write_investment({"investor_id": uid,
+                                      "company_id": cid})
+                    if cid not in seen_startups:
+                        seen_startups.add(cid)
+                        next_startups.append(cid)
+                state.investment_edges += len(items)
 
+        # everything queued for the next round was new to this one
+        state.rounds.append(RoundStats(state.round_index,
+                                       new_startups=len(next_startups),
+                                       new_users=len(next_users)))
         state.frontier_startups = next_startups
         state.frontier_users = next_users
-        state.rounds.append(stats)
 
     def _write_checkpoint(self, state: _CrawlState,
                           writers: Dict[str, JsonLinesWriter],

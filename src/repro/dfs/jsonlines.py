@@ -13,6 +13,8 @@ for strays).
 from __future__ import annotations
 
 import json
+from json.encoder import (c_encode_basestring_ascii as _c_encode_str,
+                          c_make_encoder as _c_make_encoder)
 from typing import Any, Dict, Iterable, Iterator, List, Sequence
 
 from repro.dfs.filesystem import MiniDfs
@@ -22,14 +24,46 @@ from repro.util.errors import StorageError
 # ------------------------------------------------------------ record codec
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
-#: One record as one line: compact separators, sorted keys, ASCII-only
-#: (non-ASCII and control characters are ``\uXXXX``-escaped). Byte for
-#: byte ``json.dumps(record, separators=(",", ":"), sort_keys=True)``
-#: without building an encoder per call. ASCII output is what keeps
-#: ``str.splitlines()`` (which also breaks on ``\x1c``, ``\x85``,
-#: ``\u2028`` …) and byte offsets in step: an encoded line contains no
-#: line boundary and one byte per character.
-encode_record = _ENCODER.encode
+
+def _new_c_encoder():
+    """What ``JSONEncoder.iterencode`` builds on every call, to be built
+    once; ``None`` where the interpreter has no C accelerator. The dict
+    is how it detects a circular record: the id of each container it is
+    inside, removed again on the way out."""
+    if _c_make_encoder is None:
+        return None
+    return _c_make_encoder(
+        {}, _ENCODER.default, _c_encode_str, None, _ENCODER.key_separator,
+        _ENCODER.item_separator, True, False, True)
+
+
+_c_encode = _new_c_encoder()
+
+
+def encode_record(record: Any) -> str:
+    """One record as one line: compact separators, sorted keys,
+    ASCII-only (non-ASCII and control characters are ``\\uXXXX``-escaped).
+
+    Byte for byte ``json.dumps(record, separators=(",", ":"),
+    sort_keys=True)``, errors included (``ValueError`` for a circular
+    record, ``TypeError`` for an unserialisable one), without building
+    an encoder per call. ASCII output is what keeps ``str.splitlines()``
+    (which also breaks on ``\\x1c``, ``\\x85``, ``\\u2028`` …) and byte
+    offsets in step: an encoded line contains no line boundary and one
+    byte per character.
+    """
+    global _c_encode
+    encode = _c_encode
+    if encode is None:
+        return _ENCODER.encode(record)
+    try:
+        return "".join(encode(record, 0))
+    except BaseException:
+        # it raised from inside some containers and still has them
+        # marked; retire it (a thread mid-encode keeps its own)
+        _c_encode = _new_c_encoder()
+        raise
+
 
 # the C scanner ``json.loads`` itself ends up in, minus the Python
 # ``loads -> decode -> raw_decode`` wrapper and its two whitespace

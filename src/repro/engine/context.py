@@ -83,10 +83,12 @@ class SparkLiteContext:
         engine_adaptive: adaptive, cost-based planning (see
             :mod:`repro.engine.planner`): runtime stats sampling at
             every stage boundary, post-shuffle coalescing of undersized
-            reduce partitions, skew-split of hot buckets, an
+            reduce partitions, skew-split of hot buckets and an
             observed-size broadcast join decision that *replaces* the
-            static ``broadcast_join_threshold``, and filter/projection
-            pushdown into dataset scans. Action results stay
+            static ``broadcast_join_threshold``. (Filter/projection
+            pushdown into dataset scans is not gated by this: every
+            context fuses an unpersisted scan with the ``filter``/
+            ``map`` chain that consumes it.) Action results stay
             byte-identical to the naive plans (differential-tested);
             only the physical execution — bytes moved, tasks run,
             part-file layout of saved datasets — changes.
@@ -237,8 +239,8 @@ class SparkLiteContext:
         def compute(runner: JobRunner, index: int) -> List[Any]:
             return decode_lines(dfs.read_text(paths[index]))
         rdd = RDD(self, len(paths), (), compute, name=f"json:{directory}")
-        # lets the adaptive planner fuse adjacent filter/map ops into
-        # the read itself (repro.dfs.jsonlines.read_part_pushdown)
+        # lets the job runner fuse adjacent filter/map ops into the
+        # read itself (repro.dfs.jsonlines.read_part_pushdown)
         rdd.scan_info = {"dfs": dfs, "paths": tuple(paths), "kind": "rows"}
         self._datasets[key] = rdd
         return rdd

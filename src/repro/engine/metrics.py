@@ -152,15 +152,16 @@ class JobMetrics:
         self.pool_rebuilds = 0
         self.checkpoint_hits = 0
         self.checkpoint_writes = 0
+        # ---- scan pushdown (every job whose lineage has a scan chain) ----
+        self.scan_bytes_skipped = 0          # filter-pushdown bytes dropped
+        self.scan_fields_pruned = 0          # projection-pushdown fields cut
+        self.pushed_filters = 0              # filter ops fused into scans
+        self.pushed_projections = 0          # map ops fused into scans
         # ---- adaptive planner (all zero when engine_adaptive is off) ----
         self.adaptive_coalesces = 0          # shuffle stages coalesced
         self.adaptive_partitions_merged = 0  # reduce buckets merged away
         self.skew_splits = 0                 # hot buckets split
         self.skew_split_tasks = 0            # reduce tasks the splits ran
-        self.scan_bytes_skipped = 0          # filter-pushdown bytes dropped
-        self.scan_fields_pruned = 0          # projection-pushdown fields cut
-        self.pushed_filters = 0              # filter ops fused into scans
-        self.pushed_projections = 0          # map ops fused into scans
         self.stats_sampled_partitions = 0    # stage-boundary samples taken
         self.stats_sampled_rows = 0          # rows pickled for estimates
         self.stats_repeat_observations = 0   # idempotent-guard cache hits

@@ -2,10 +2,10 @@
 
 The engine's static plans pick everything up front: partition counts come
 from the RDD declaration, the broadcast-vs-shuffle join choice from a
-fixed byte threshold, and dataset scans always materialize full records.
-This module closes the loop the way Spark's AQE does — every decision is
-made *after* the stage feeding it has materialized, from measured (not
-estimated) cardinalities and sampled serialized sizes:
+fixed byte threshold. This module closes the loop the way Spark's AQE
+does — every decision is made *after* the stage feeding it has
+materialized, from measured (not estimated) cardinalities and sampled
+serialized sizes:
 
 * :class:`StatsCollector` — samples per-partition cardinality and
   serialized size at each stage boundary. Sampling is deterministic
@@ -32,10 +32,12 @@ estimated) cardinalities and sampled serialized sizes:
   partition count by padding with trailing empties, so only
   whole-partition consumers like ``mapPartitions``/``sample`` and
   persisted nodes are unsafe), and which ``filter``/``map`` chains
-  adjacent to a dataset scan can be fused into the DFS read
+  adjacent to a dataset scan fuse into the DFS read
   (filter/projection pushdown — dropped lines are counted as
   ``scan_bytes_skipped``, dict fields removed by a projection as
-  ``scan_fields_pruned``).
+  ``scan_fields_pruned``). The second half needs nothing observed, so
+  it is not adaptive at all: the runner asks for it on every job, and
+  it is the only way an unpersisted scan chain runs.
 
 Everything here is *plan-only*: the runner owns execution. The contract,
 differential-tested across backends, is that an adaptive plan's action
@@ -268,9 +270,11 @@ class JobPlan:
         self.interior = interior
 
 
-def analyze_job(root: Any, has_cache: Callable[[Any], bool]) -> JobPlan:
-    """Walk the (cache-pruned) lineage of one action and decide where
-    adaptive rewrites are legal.
+def analyze_job(root: Any, has_cache: Callable[[Any], bool],
+                shape_safety: bool = True) -> JobPlan:
+    """Walk the (cache-pruned) lineage of one action and decide which
+    DFS scans fuse with their consumers and — for the adaptive planner,
+    ``shape_safety`` — where partition boundaries may legally change.
 
     *Shape safety.* Coalescing keeps the declared partition count (the
     tail pads with empty partitions) and preserves the flattened element
@@ -289,7 +293,10 @@ def analyze_job(root: Any, has_cache: Callable[[Any], bool]) -> JobPlan:
     the DFS read; the chain extends while each link has exactly one
     consumer and no persistence request. The terminal node's results are
     identical to the unfused chain (elementwise per-line evaluation), so
-    the terminal may be cached or consumed by anything.
+    the terminal may be cached or consumed by anything. Every job gets
+    this half: it is how an unpersisted scan chain runs. A lineage
+    without a scan node (``scan_info``) pays for the walk and nothing
+    else.
     """
     order: List[Any] = []
     nodes: Dict[int, Any] = {}
@@ -308,6 +315,11 @@ def analyze_job(root: Any, has_cache: Callable[[Any], bool]) -> JobPlan:
         order.append(node)
 
     visit(root)
+    scans = [node for node in order
+             if getattr(node, "scan_info", None) is not None
+             and node.scan_info.get("kind") == "rows"]
+    if not scans and not shape_safety:
+        return JobPlan(set(), {}, set())
 
     safe_memo: Dict[int, bool] = {}
 
@@ -331,15 +343,12 @@ def analyze_job(root: Any, has_cache: Callable[[Any], bool]) -> JobPlan:
         safe_memo[node.rdd_id] = ok
         return ok
 
-    shape_safe = {nid for nid, node in nodes.items()
-                  if output_shape_safe(node)}
+    shape_safe = ({nid for nid, node in nodes.items()
+                   if output_shape_safe(node)} if shape_safety else set())
 
     fusions: Dict[int, ScanFusion] = {}
     interior: Set[int] = set()
-    for node in order:
-        info = getattr(node, "scan_info", None)
-        if info is None or info.get("kind") != "rows":
-            continue
+    for node in scans:
         if (node._cache_requested or node._checkpoint_requested
                 or has_cache(node)):
             continue

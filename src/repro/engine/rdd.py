@@ -766,12 +766,13 @@ class JobRunner:
             from repro.engine.columnar import ShmRegistry
             self.shm_registry = ShmRegistry()
         #: adaptive planning (engine_adaptive=True): the context's
-        #: AdaptivePlanner, a job-scoped StatsCollector, and the lineage
-        #: analysis built lazily from this job's action root
+        #: AdaptivePlanner and a job-scoped StatsCollector
         self.adaptive = getattr(context, "adaptive_planner", None)
         self.stats = (StatsCollector(self.adaptive.sample_rows,
                                      metrics=self.metrics)
                       if self.adaptive is not None else None)
+        #: the lineage analysis, built lazily from this job's action
+        #: root: scan fusions always, shape safety for the planner
         self.plan = None
         self._metrics_lock = threading.Lock()
 
@@ -871,8 +872,9 @@ class JobRunner:
         parents) keep the root's analysis — every node they touch is in
         the root's lineage, so consumer sets stay complete.
         """
-        if self.adaptive is not None and self.plan is None:
-            self.plan = analyze_job(rdd, self._has_cache)
+        if self.plan is None:
+            self.plan = analyze_job(rdd, self._has_cache,
+                                    shape_safety=self.adaptive is not None)
 
     def record_scan_pushdown(self, bytes_skipped: int, fields_pruned: int,
                              filters: int = 0, projections: int = 0) -> None:
@@ -890,7 +892,7 @@ class JobRunner:
         return self._partitions[rdd.rdd_id]
 
     def _materialize(self, rdd: RDD) -> None:
-        if self.plan is not None and rdd.rdd_id in self.plan.interior:
+        if rdd.rdd_id in self.plan.interior:
             # interior link of a fused scan chain: its sole consumer
             # reads straight from the DFS, so it never materializes
             return
@@ -903,7 +905,7 @@ class JobRunner:
         broadcast_bytes = coalesced_from = coalesced_to = stage_splits = 0
         scan_skipped = scan_pruned = 0
         runs: List[Any] = []
-        if self.plan is not None and rdd.rdd_id in self.plan.fusions:
+        if rdd.rdd_id in self.plan.fusions:
             results, scan_skipped, scan_pruned = self._fused_scan(rdd)
             kind = STAGE_TASK
         elif rdd.part_fn is not None:
@@ -1000,7 +1002,7 @@ class JobRunner:
     def partition(self, rdd: RDD, index: int) -> List[Any]:
         return self.all_partitions(rdd)[index]
 
-    # -------------------------------------------------- adaptive execution
+    # ------------------------------------------------------- scan fusion
     def _fused_scan(self, rdd: RDD):
         """Materialize a fused scan terminal straight from the DFS.
 
@@ -1025,6 +1027,7 @@ class JobRunner:
             projections=sum(1 for k, _fn in ops if k == "map"))
         return results, skipped, pruned
 
+    # -------------------------------------------------- adaptive execution
     def _run_reduce_plan(self, rdd: RDD, plan, pieces):
         """Execute an adaptive reduce plan for one shuffle stage.
 

@@ -9,7 +9,7 @@ plan around every dispatch so crawler retry logic is exercised for real.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.faults import FaultPlan
 from repro.net.latency import LatencyModel
@@ -42,6 +42,9 @@ class CorruptPayload:
         return f"<CorruptPayload {len(self.raw)} bytes>"
 
 
+_UNPARSED = object()
+
+
 @dataclass
 class Request:
     """A simulated HTTP request."""
@@ -51,15 +54,25 @@ class Request:
     params: Dict[str, Any] = field(default_factory=dict)
     headers: Dict[str, str] = field(default_factory=dict)
     path_params: Dict[str, str] = field(default_factory=dict)
+    _token: Any = field(default=_UNPARSED, init=False, repr=False,
+                        compare=False)
 
     @property
     def token(self) -> Optional[str]:
-        """The bearer token, from header or ``access_token`` param."""
-        auth = self.headers.get("Authorization", "")
-        if auth.startswith("Bearer "):
-            return auth[len("Bearer "):]
-        value = self.params.get("access_token")
-        return str(value) if value is not None else None
+        """The bearer token, from header or ``access_token`` param.
+
+        Parsed on first use and kept: auth and throttling both ask.
+        """
+        token = self._token
+        if token is _UNPARSED:
+            auth = self.headers.get("Authorization", "")
+            if auth.startswith("Bearer "):
+                token = auth[len("Bearer "):]
+            else:
+                value = self.params.get("access_token")
+                token = str(value) if value is not None else None
+            self._token = token
+        return token
 
 
 @dataclass
@@ -99,11 +112,10 @@ class Route:
     handler: Handler
 
     def __post_init__(self) -> None:
-        # the template is split once, at registration — a crawl tries ~4
-        # routes per request: segment count, then the fixed and the
-        # ``:name`` segments as (position, text) pairs
-        segments = list(enumerate(self.template.strip("/").split("/")))
-        self._length = len(segments)
+        # the template is split once, at registration: segment count,
+        # then the fixed and the ``:name`` segments as (position, text)
+        segments = list(enumerate(_segments(self.template)))
+        self.length = len(segments)
         self._fixed = tuple((i, seg) for i, seg in segments
                             if not seg.startswith(":"))
         self._named = tuple((i, seg[1:]) for i, seg in segments
@@ -113,13 +125,24 @@ class Route:
         """Return extracted path params if this route matches, else None."""
         if method != self.method:
             return None
-        parts = path.strip("/").split("/")
-        if len(parts) != self._length:
+        parts = _segments(path)
+        if len(parts) != self.length:
             return None
+        return self.match_segments(parts)
+
+    def match_segments(self, parts: Sequence[str],
+                       ) -> Optional[Dict[str, str]]:
+        """:meth:`match` for a path already split into ``length``
+        segments (the server splits a request's path once for all its
+        candidates)."""
         for i, segment in self._fixed:
             if parts[i] != segment:
                 return None
         return {name: parts[i] for i, name in self._named}
+
+
+def _segments(path: str) -> List[str]:
+    return path.strip("/").split("/")
 
 
 class SimServer:
@@ -140,13 +163,49 @@ class SimServer:
         # ``faults`` is a FaultPlan or FaultSchedule (anything exposing
         # ``inject`` and optionally ``corrupt``).
         self.clock = clock or SimClock()
-        self.latency = latency or LatencyModel.zero()
-        self.faults = faults or FaultPlan.none()
-        self._routes: List[Route] = []
+        self._latency = latency or LatencyModel.zero()
+        self._faults = faults or FaultPlan.none()
+        self._resolve_fast_path()
+        #: (method, segment count) -> routes in registration order
+        self._routes: Dict[Tuple[str, int], List[Route]] = {}
         self.request_count = 0
 
+    @property
+    def latency(self) -> LatencyModel:
+        return self._latency
+
+    @latency.setter
+    def latency(self, model: LatencyModel) -> None:
+        self._latency = model
+        self._resolve_fast_path()
+
+    @property
+    def faults(self) -> Any:
+        return self._faults
+
+    @faults.setter
+    def faults(self, plan: Any) -> None:
+        self._faults = plan
+        self._resolve_fast_path()
+
+    def _resolve_fast_path(self) -> None:
+        """Decide once what :meth:`handle` would otherwise re-derive per
+        request. Only the two frozen built-in models are trusted to stay
+        as they are: a :class:`FaultSchedule` can gain forced windows
+        after the server holds it."""
+        latency, faults = self._latency, self._faults
+        #: the latency of every request, ``None`` when it is sampled
+        self._fixed_latency: Optional[float] = (
+            latency.base if type(latency) is LatencyModel
+            and latency.jitter <= 0 else None)
+        #: the fault plan can neither replace nor corrupt a response
+        self._never_faults = (type(faults) is FaultPlan
+                              and faults.p_error <= 0.0)
+        self._corrupt = getattr(faults, "corrupt", None)
+
     def route(self, method: str, template: str, handler: Handler) -> None:
-        self._routes.append(Route(method, template, handler))
+        route = Route(method, template, handler)
+        self._routes.setdefault((method, route.length), []).append(route)
 
     # -- hooks -------------------------------------------------------------
     def authorize(self, request: Request) -> Optional[Response]:
@@ -168,8 +227,14 @@ class SimServer:
         a truncated transfer looks to the caller.
         """
         self.request_count += 1
-        self.clock.sleep(self.latency.sample(self.request_count))
-        fault = self.faults.inject(self.request_count)
+        delay = self._fixed_latency
+        if delay is None:
+            delay = self._latency.sample(self.request_count)
+        if delay:
+            self.clock.sleep(delay)
+        if self._never_faults:
+            return self._dispatch(request)
+        fault = self._faults.inject(self.request_count)
         if fault is not None:
             hang = float(fault.headers.get("X-Fault-Hang-S", "0") or 0.0)
             if hang > 0:
@@ -178,9 +243,8 @@ class SimServer:
                 self.clock.sleep(min(hang, max(0.0, budget)))
             return fault
         response = self._dispatch(request)
-        corruptor = getattr(self.faults, "corrupt", None)
-        if corruptor is not None:
-            response = corruptor(self.request_count, response)
+        if self._corrupt is not None:
+            response = self._corrupt(self.request_count, response)
         return response
 
     def _dispatch(self, request: Request) -> Response:
@@ -190,8 +254,9 @@ class SimServer:
         throttled = self.throttle(request)
         if throttled is not None:
             return throttled
-        for candidate in self._routes:
-            extracted = candidate.match(request.method, request.path)
+        parts = _segments(request.path)
+        for candidate in self._routes.get((request.method, len(parts)), ()):
+            extracted = candidate.match_segments(parts)
             if extracted is not None:
                 request.path_params = extracted
                 return candidate.handler(request)

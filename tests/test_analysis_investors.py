@@ -30,3 +30,10 @@ class TestDistribution:
 
     def test_render_smoke(self, activity):
         assert "investments per investor" in activity.render_cdf()
+
+    def test_render_is_the_cdf_chart_of_the_degrees(self, activity,
+                                                    investor_graph):
+        from repro.viz.ascii import ascii_cdf
+        assert activity.render_cdf() == ascii_cdf(
+            investor_graph.out_degrees().tolist(),
+            label="investments per investor")

@@ -74,3 +74,54 @@ class TestPlatform:
         report = crawled_platform.run_plugin("concentration")
         assert report.num_edges == crawled_platform.investor_graph().num_edges
         assert "bipartite graph" in report.render()
+
+
+class TestPersistedDatasets:
+    def test_landed_and_persisted_directories_are_pinned(self):
+        """The landed tuple is what the repo benchmark digests; the
+        persisted one is its subset with more than one reader."""
+        assert ExploratoryPlatform.CRAWL_DATASET_DIRS == (
+            "/crawl/angellist/startups",
+            "/crawl/angellist/users",
+            "/crawl/angellist/investments",
+            "/crawl/angellist/follow_edges",
+            "/crawl/crunchbase/organizations",
+            "/crawl/facebook/pages",
+            "/crawl/twitter/profiles",
+        )
+        assert ExploratoryPlatform.PERSISTED_DATASET_DIRS == (
+            "/crawl/angellist/startups",
+            "/crawl/crunchbase/organizations",
+            "/crawl/facebook/pages",
+            "/crawl/twitter/profiles",
+        )
+
+    def test_exactly_the_shared_datasets_are_persisted(self, crawled_platform):
+        sc, dfs = crawled_platform.sc, crawled_platform.dfs
+        for directory in ExploratoryPlatform.CRAWL_DATASET_DIRS:
+            assert dfs.glob_parts(directory), directory
+            assert sc.json_dataset(dfs, directory)._cache_requested == (
+                directory in ExploratoryPlatform.PERSISTED_DATASET_DIRS)
+
+    @pytest.mark.parametrize("level", ["none", "disk", "", None])
+    def test_unknown_storage_level_fails_at_the_door(self, tiny_world, level):
+        """It used to reach ``RDD.persist`` per dataset, whose
+        ``EngineError`` the "dataset missing" handler swallowed: a typo
+        silently persisted nothing."""
+        with pytest.raises(ConfigError, match="persist_datasets"):
+            ExploratoryPlatform(tiny_world,
+                                PlatformConfig(persist_datasets=level))
+
+    def test_dfs_storage_level_persists(self, tiny_world):
+        with ExploratoryPlatform(
+                tiny_world, PlatformConfig(persist_datasets="dfs")) as platform:
+            platform.run_full_crawl()
+            for directory in ExploratoryPlatform.PERSISTED_DATASET_DIRS:
+                rdd = platform.sc.json_dataset(platform.dfs, directory)
+                assert (rdd._cache_requested, rdd._storage_level) == \
+                    (True, "dfs")
+
+    def test_dataset_the_crawl_did_not_land_is_skipped(self, tiny_world):
+        with ExploratoryPlatform(tiny_world) as platform:
+            platform._persist_crawl_datasets()   # nothing has landed yet
+            assert platform.sc._datasets == {}

@@ -119,7 +119,80 @@ class TestAuthRefresh:
             client.get("/ok")
 
 
+class _RecordingServer(_EchoServer):
+    def __init__(self, clock):
+        super().__init__(clock)
+        self.seen = []
+        self.valid_tokens = {"good", "also-good"}
+
+    def handle(self, request):
+        self.seen.append(request)
+        return super().handle(request)
+
+
+class TestSend:
+    def test_bearer_headers_are_built_once_per_credential(self, clock):
+        server = _RecordingServer(clock)
+        pool = TokenPool(["good", "also-good"], clock)
+        client = ApiClient(server, clock, token_pool=pool,
+                           request_timeout_s=12.5)
+        for _ in range(4):
+            client.get("/ok", {"q": 1})
+        by_token = {}
+        for request in server.seen:
+            assert request.headers == {
+                "X-Timeout-S": "12.500",
+                "Authorization": f"Bearer {request.token}"}
+            assert request.params == {"q": 1}
+            by_token.setdefault(request.token, []).append(request.headers)
+        assert sorted(by_token) == ["also-good", "good"]
+        for dicts in by_token.values():
+            assert all(d is dicts[0] for d in dicts)
+
+    def test_query_credential_stays_out_of_the_callers_params(self, clock):
+        server = _RecordingServer(clock)
+        client = ApiClient(server, clock, token="good",
+                           auth_style=AUTH_QUERY_ACCESS_TOKEN)
+        params = {"q": 1}
+        assert client.get("/ok", params) == {"yes": True}
+        assert params == {"q": 1}
+        (request,) = server.seen
+        assert request.params == {"q": 1, "access_token": "good"}
+        assert request.headers == {"X-Timeout-S": "30.000"}
+
+    def test_unknown_auth_style_rejected_at_construction(self, clock):
+        with pytest.raises(CrawlError, match="auth style"):
+            ApiClient(_EchoServer(clock), clock, token="good",
+                      auth_style="cookie")
+
+    def test_unsupported_method(self, clock):
+        client = ApiClient(_EchoServer(clock), clock, token="good")
+        with pytest.raises(CrawlError, match="unsupported method"):
+            client.request("DELETE", "/ok")
+
+
 class TestPaged:
+    def test_pages_are_requested_as_they_are_consumed(self, clock,
+                                                      tiny_world):
+        from repro.sources.angellist import AngelListServer
+        server = AngelListServer(tiny_world, clock=clock)
+        client = ApiClient(server, clock, token=server.issue_token("t"))
+        uid = max(tiny_world.users, key=lambda u: len(
+            tiny_world.users[u].follows_companies))
+        follows = tiny_world.users[uid].follows_companies
+        assert len(follows) > 50         # more than one page of 50
+        path = f"/1/users/{uid}/following"
+        pages = client.pages(path, {"type": "startup"})
+        assert server.request_count == 0          # lazy until asked
+        first = next(pages)
+        assert server.request_count == 1
+        assert [item["id"] for item in first] == follows[:50]
+        rest = list(pages)
+        assert server.request_count == 1 + len(rest) == -(-len(follows) // 50)
+        flat = first + [item for page in rest for item in page]
+        assert flat == list(client.paged(path, {"type": "startup"}))
+        assert [item["id"] for item in flat] == follows
+
     def test_iterates_pages(self, clock, tiny_world):
         from repro.sources.angellist import AngelListServer
         server = AngelListServer(tiny_world, clock=clock)

@@ -131,6 +131,75 @@ class TestEncodeRecord:
                 reference_dumps(bad)
             assert str(mine.value) == str(theirs.value)
 
+    @given(json_values)
+    def test_any_json_value_not_only_dicts(self, value):
+        assert encode_record(value) == reference_dumps(value)
+
+    def test_circular_input_is_a_value_error_and_leaves_no_trace(self):
+        """The encoder is shared, and so is the marker dict it finds
+        cycles with: a failed encode must not leave the ids of the
+        containers it was inside marked as "being encoded"."""
+        looped_dict = {"a": [1, 2]}
+        looped_dict["self"] = looped_dict
+        looped_list = [{"deep": []}]
+        looped_list[0]["deep"].append(looped_list)
+        for bad in (looped_dict, looped_list):
+            for _again in range(2):
+                with pytest.raises(ValueError) as mine:
+                    encode_record(bad)
+                with pytest.raises(ValueError) as theirs:
+                    reference_dumps(bad)
+                assert str(mine.value) == str(theirs.value)
+        # the very objects that failed encode fine once the loop is cut
+        del looped_dict["self"]
+        looped_list[0]["deep"].clear()
+        assert encode_record(looped_dict) == '{"a":[1,2]}'
+        assert encode_record(looped_list) == '[{"deep":[]}]'
+        # ... as does one that failed for another reason part-way in
+        half = {"a": {"b": [object()]}}
+        with pytest.raises(TypeError):
+            encode_record(half)
+        half["a"]["b"][0] = None
+        assert encode_record(half) == '{"a":{"b":[null]}}'
+
+    def test_same_bytes_without_the_c_accelerator(self, monkeypatch):
+        from repro.dfs import jsonlines
+        monkeypatch.setattr(jsonlines, "_c_encode", None)
+        record = {"name": "Café ☃", "z": [1.5, None, {"b": 1, "a": 2}]}
+        assert encode_record(record) == reference_dumps(record)
+
+    def test_four_threads_share_one_encoder(self):
+        records = [{"id": i, "name": f"Zoë-{i % 7}", "tags": ["a", i],
+                    "nested": {"score": i / 3, "ok": i % 2 == 0}}
+                   for i in range(3000)]
+        serial = [reference_dumps(record) for record in records]
+        looped = {}
+        looped["self"] = looped
+        results = [None] * 4
+
+        def work(slot):
+            out = []
+            for _ in range(5):
+                if slot == 0:       # one thread keeps failing mid-encode
+                    with pytest.raises(ValueError):
+                        encode_record(looped)
+                out.append([encode_record(record) for record in records])
+            results[slot] = out
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,))
+                       for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for per_thread in results:
+            assert per_thread == [serial] * 5
+
 
 class TestDecodeLines:
     @given(st.lists(json_spellings | whitespace, max_size=8))

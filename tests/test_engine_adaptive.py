@@ -273,6 +273,26 @@ def test_adaptive_scan_reads_fewer_bytes(oracle):
     assert metrics.scan_fields_pruned > 0
 
 
+@pytest.mark.parametrize("scenario", ["scan_pushdown",
+                                      "scan_then_shuffle"])
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_fused_scan_matches_unfused_scan(backend, scenario):
+    """Every context fuses an unpersisted scan chain into the read, the
+    oracle included — so the unfused stages need their own witness: a
+    persisted scan never fuses."""
+    fn = SCENARIOS[scenario]
+    with SparkLiteContext(parallelism=3, backend=backend) as unfused:
+        unfused.json_dataset(_DFS, "/battery").persist()
+        expected = fn(unfused)
+        assert unfused.last_job_metrics.pushed_filters == 0
+    with SparkLiteContext(parallelism=3, backend=backend) as fused:
+        actual = fn(fused)
+        assert fused.last_job_metrics.pushed_filters == 1
+        assert fused.last_job_metrics.scan_bytes_skipped > 0
+    assert repr(actual) == repr(expected), \
+        f"fused scan on {backend} diverged on {scenario}"
+
+
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", [3, 11])
 def test_adaptive_survives_worker_loss(oracle, seed):
@@ -343,3 +363,43 @@ def test_property_sort_and_distinct_identical(data, buckets):
                           engine_adaptive=True,
                           target_partition_bytes=64) as sc:
         assert repr(job(sc)) == repr(expected)
+
+
+scan_records = st.lists(
+    st.fixed_dictionaries({
+        "id": st.integers(min_value=-50, max_value=50),
+        "name": st.text(max_size=6),
+        "tags": st.lists(st.integers(min_value=0, max_value=9), max_size=3),
+    }), min_size=1, max_size=40)
+
+
+@given(records=scan_records, parts=st.integers(min_value=1, max_value=5),
+       cut=st.integers(min_value=-50, max_value=50),
+       ops=st.lists(st.sampled_from(["filter", "map"]), min_size=1,
+                    max_size=4))
+@SETTINGS
+def test_property_fused_scan_chain_identical(records, parts, cut, ops):
+    """Any filter/map chain over a scan: fused into the read (default)
+    and stage by stage (persisted scan) collect the same thing."""
+    dfs = MiniDfs()
+    write_json_dataset(dfs, "/p", records, partitions=parts)
+
+    def job(sc):
+        rdd = sc.json_dataset(dfs, "/p")
+        for depth, op in enumerate(ops):
+            if op == "filter":
+                rdd = rdd.filter(lambda r, d=depth: r["id"] + d >= cut)
+            else:
+                rdd = rdd.map(lambda r, d=depth: {
+                    "id": r["id"] - d, "name": r.get("name", "") + "é"})
+        return rdd.collect()
+    with SparkLiteContext(parallelism=2, backend="serial") as unfused:
+        unfused.json_dataset(dfs, "/p").persist()
+        expected = job(unfused)
+        assert unfused.last_job_metrics.pushed_filters == 0
+    with SparkLiteContext(parallelism=2, backend="serial") as fused:
+        actual = job(fused)
+        pushed = fused.last_job_metrics
+        assert (pushed.pushed_filters, pushed.pushed_projections) == \
+            (ops.count("filter"), ops.count("map"))
+    assert repr(actual) == repr(expected)

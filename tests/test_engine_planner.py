@@ -51,6 +51,10 @@ def _project_id(record):
     return {"id": record["id"]}
 
 
+def _mod5_id(record):
+    return (record["id"] % 5, 1)
+
+
 def _records(n=40, fields=3):
     return [{"id": i, "k": i % 4,
              **{f"pad{j}": "x" * 20 for j in range(fields - 2)}}
@@ -384,6 +388,28 @@ class TestAnalyzeJob:
             plan = analyze_job(scan.filter(_keep_small), _never_cached)
             assert plan.fusions == {}
 
+    def test_fusion_does_not_need_shape_safety(self):
+        """The half every job gets: same fusions, no shape analysis."""
+        dfs = MiniDfs()
+        write_json_dataset(dfs, "/d", _records(), partitions=3)
+        with SparkLiteContext(parallelism=2, backend="serial") as sc:
+            scan = sc.json_dataset(dfs, "/d")
+            terminal = scan.filter(_keep_small).map(_project_id)
+            root = terminal.map(_mod5_id).reduce_by_key(operator.add)
+            full = analyze_job(root, _never_cached)
+            scan_only = analyze_job(root, _never_cached, shape_safety=False)
+            assert scan_only.shape_safe == set() != full.shape_safe
+            assert set(scan_only.fusions) == set(full.fusions)
+            assert scan_only.interior == full.interior
+
+    def test_lineage_without_a_scan_plans_nothing(self):
+        with SparkLiteContext(parallelism=2, backend="serial") as sc:
+            root = (sc.parallelize(range(40), 4).map(_mod5_pair)
+                    .reduce_by_key(operator.add))
+            plan = analyze_job(root, _never_cached, shape_safety=False)
+            assert (plan.shape_safe, plan.fusions, plan.interior) == \
+                (set(), {}, set())
+
 
 # ------------------------------------------------------------- fused scans
 class TestScanPushdown:
@@ -408,8 +434,7 @@ class TestScanPushdown:
         records = _records(40)
         write_json_dataset(dfs, "/d", records, partitions=4)
         expected = [_project_id(r) for r in records if _keep_small(r)]
-        with SparkLiteContext(parallelism=2, backend="serial",
-                              engine_adaptive=True) as sc:
+        with SparkLiteContext(parallelism=2, backend="serial") as sc:
             out = (sc.json_dataset(dfs, "/d")
                    .filter(_keep_small).map(_project_id).collect())
             metrics = sc.last_job_metrics
@@ -418,6 +443,25 @@ class TestScanPushdown:
         assert metrics.scan_fields_pruned > 0
         assert metrics.pushed_filters == 1
         assert metrics.pushed_projections == 1
+        # one stage: the scan and the filter never materialize
+        assert [(s.name, s.records_out) for s in metrics.stages] == \
+            [("map", len(expected))]
+
+    def test_persisted_scan_runs_the_chain_unfused(self):
+        dfs = MiniDfs()
+        records = _records(40)
+        write_json_dataset(dfs, "/d", records, partitions=4)
+        expected = [_project_id(r) for r in records if _keep_small(r)]
+        with SparkLiteContext(parallelism=2, backend="serial") as sc:
+            sc.json_dataset(dfs, "/d").persist()
+            out = (sc.json_dataset(dfs, "/d")
+                   .filter(_keep_small).map(_project_id).collect())
+            metrics = sc.last_job_metrics
+        assert repr(out) == repr(expected)
+        assert metrics.pushed_filters == metrics.pushed_projections == 0
+        assert [(s.name, s.records_out) for s in metrics.stages] == \
+            [("json:/d", 40), ("filter", len(expected)),
+             ("map", len(expected))]
 
     def test_json_batches_predicate_and_column_projection(self):
         dfs = MiniDfs()

@@ -50,6 +50,21 @@ class TestRequest:
     def test_no_token(self):
         assert Request("GET", "/").token is None
 
+    def test_token_is_parsed_once(self):
+        class _CountingHeaders(dict):
+            reads = 0
+
+            def get(self, key, default=None):
+                self.reads += 1
+                return super().get(key, default)
+        headers = _CountingHeaders(Authorization="Bearer tok1")
+        req = Request("GET", "/", headers=headers)
+        assert (req.token, req.token, req.token) == ("tok1",) * 3
+        assert headers.reads == 1
+        # the memo is not part of a request's identity
+        assert req == Request("GET", "/", headers=dict(headers))
+        assert "tok1" not in repr(req).replace("Bearer tok1", "")
+
 
 class TestSimServer:
     def _make(self, **kwargs) -> SimServer:
@@ -88,6 +103,45 @@ class TestSimServer:
     def test_fault_free_plan_never_fails(self):
         server = self._make(faults=FaultPlan.none())
         assert all(server.get("/hello/x").ok for _ in range(20))
+
+    def test_first_registered_route_of_a_shape_wins(self):
+        server = self._make()
+        server.route("GET", "/hello/world", lambda r: Response.json("late"))
+        server.route("POST", "/hello/:name", lambda r: Response.json("post"))
+        server.route("GET", "/hello/:name/again",
+                     lambda r: Response.json("longer"))
+        assert server.get("/hello/world").body == {"hi": "world"}
+        assert server.post("/hello/world").body == "post"
+        assert server.get("/hello/world/again/").body == "longer"
+        assert server.get("/hello").status == 404
+        assert server.post("/hello/world/again").status == 404
+
+    def test_reassigned_faults_and_latency_take_effect(self):
+        """The no-fault / fixed-latency decision is made when the plan
+        is set, so setting another one has to redo it."""
+        clock = SimClock()
+        server = self._make(clock=clock)
+        assert server.get("/hello/x").ok and clock.now() == 0.0
+        server.faults = FaultPlan.flaky(p_error=0.999)
+        assert server.get("/hello/x").status in (500, 503)
+        server.faults = FaultPlan.none()
+        server.latency = LatencyModel(base=0.5, jitter=0.0)
+        assert server.get("/hello/x").ok
+        assert clock.now() == pytest.approx(0.5)
+        server.latency = LatencyModel(base=0.0, jitter=1.0, seed=3)
+        server.get("/hello/x")
+        assert 0.5 < clock.now() < 1.5
+
+    def test_quiet_schedule_can_still_be_forced(self):
+        """A FaultSchedule is mutable (forced windows), so holding an
+        empty one must not switch fault injection off for good."""
+        from repro.net.faults import FAULT_BROWNOUT, FaultSchedule
+        schedule = FaultSchedule.none()
+        server = self._make(faults=schedule)
+        assert server.get("/hello/x").ok
+        schedule.force_window(FAULT_BROWNOUT, start=2, span=1, duration=1.5)
+        assert server.get("/hello/x").status == 503
+        assert server.get("/hello/x").ok
 
 
 class TestPaginate:

@@ -49,6 +49,15 @@ echo "== benchmark smoke (engine fast path) =="
 python benchmarks/bench_a4_shuffle_combine.py \
     --smoke --json benchmarks/out/BENCH_engine.json
 
+echo "== counted cost gates (pipeline hot paths) =="
+# the same kind of gate as A4's shuffle_cost and A8's
+# landing_reads_per_day, for the pipeline: investor_activity streams
+# follow edges through its filter (no scan stage, no cache spill), a
+# request is matched only against templates of its own shape, and
+# encode_record builds no encoder per record. Part of tier 1 above; run
+# by name so a renamed or deselected module fails the gate
+python -m pytest -q -p no:cacheprovider tests/test_cost_gates.py
+
 echo "== benchmark smoke (partition recovery) =="
 # small-scale A5 run: proves losing an executor recomputes strictly
 # fewer partitions than a full stage rerun, on every backend
