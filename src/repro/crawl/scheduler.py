@@ -215,11 +215,18 @@ class ContinuousScheduler:
 
     def _absorb_intent(self, kind: str, payload: Dict) -> None:
         if kind == "frontier":
-            claimed = {(e[0], int(e[1])) for e in payload.get("slice", ())}
+            claimed = [(e[0], int(e[1])) for e in payload.get("slice", ())]
             # the slice also counts as seen: a crashed unit's entities
             # must not be re-enqueued by a later discovery
-            self.seen |= claimed
-            self.frontier = [e for e in self.frontier if e not in claimed]
+            self.seen.update(claimed)
+            if self.frontier[:len(claimed)] == claimed:
+                # a slice is cut from the head and `seen` keeps frontier
+                # entries unique, so dropping the head drops them all
+                del self.frontier[:len(claimed)]
+            else:   # crash replay: an intent whose slice is not the head
+                members = set(claimed)
+                self.frontier = [e for e in self.frontier
+                                 if e not in members]
 
     def _absorb_commit(self, unit: str, kind: str, payload: Dict) -> None:
         if kind == "advance":

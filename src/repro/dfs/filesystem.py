@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import posixpath
 import zlib
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -127,6 +128,9 @@ class MiniDfs:
         self.datanodes: Dict[str, DataNode] = {
             f"dn{i}": DataNode(f"dn{i}") for i in range(num_datanodes)}
         self._files: Dict[str, FileStatus] = {}
+        #: the keys of ``_files`` in sorted order: a pseudo-directory is
+        #: a contiguous range of it, found by bisection
+        self._paths: List[str] = []
         self._next_block_id = 0
         self._next_tmp_id = 0
         self._rng = RngStream(seed, "dfs")
@@ -153,6 +157,7 @@ class MiniDfs:
             chunk = data[offset:offset + self.block_size]
             status.blocks.append(self._store_block(chunk))
         self._files[path] = status
+        insort(self._paths, path)
         return status
 
     def create_text(self, path: str, text: str) -> FileStatus:
@@ -329,14 +334,18 @@ class MiniDfs:
         status = self._files.pop(path, None)
         if status is None:
             raise NotFoundError(f"no such file: {path}")
+        del self._paths[bisect_left(self._paths, path)]
         for block in status.blocks:
             for node_id in block.locations:
                 self.datanodes[node_id].drop(block.block_id)
 
     def listdir(self, prefix: str) -> List[str]:
         """All file paths under ``prefix`` (a pseudo-directory), sorted."""
-        prefix = _normalize(prefix).rstrip("/") + "/"
-        return sorted(p for p in self._files if p.startswith(prefix))
+        stem = _normalize(prefix).rstrip("/")
+        # every path below the directory sorts from "stem/" up to, not
+        # including, "stem0" ("0" is the character after "/")
+        return self._paths[bisect_left(self._paths, stem + "/"):
+                           bisect_left(self._paths, stem + "0")]
 
     def glob_parts(self, directory: str) -> List[str]:
         """The ``part-*`` files of a dataset directory, in order."""
@@ -355,10 +364,14 @@ class MiniDfs:
         if dst in self._files:
             if not overwrite:
                 raise StorageError(f"destination exists: {dst}")
+            if dst == src:
+                return  # onto itself: deleting the destination loses it
             self.delete(dst)
         status = self._files.pop(src)
+        del self._paths[bisect_left(self._paths, src)]
         status.path = dst
         self._files[dst] = status
+        insort(self._paths, dst)
 
     def write_atomic(self, path: str, data: bytes) -> FileStatus:
         """Commit ``data`` to ``path`` via hidden temp file + rename.
@@ -388,13 +401,10 @@ class MiniDfs:
         crawl — call this scan to reclaim them. Returns the swept
         paths, sorted, so callers can log what a crash left behind.
         """
-        prefix = _normalize(prefix)
-        prefix = "/" if prefix == "/" else prefix + "/"
-        orphans = sorted(
-            p for p in self._files
-            if p.startswith(prefix)
-            and posixpath.basename(p).startswith(".")
-            and ".tmp-" in posixpath.basename(p))
+        orphans = [
+            p for p in self.listdir(prefix)
+            if posixpath.basename(p).startswith(".")
+            and ".tmp-" in posixpath.basename(p)]
         for path in orphans:
             self.delete(path)
         return orphans

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.util.rng import derive_seed
 
@@ -180,6 +180,9 @@ class FaultSchedule:
         #: that exact ledger state (a resumed run sails past it, the way
         #: a real SIGKILL doesn't repeat after a restart)
         self.forced_ingest_kills: List[tuple] = []
+        #: per window spec, the index range already start-hashed — see
+        #: :meth:`_window_active`
+        self._window_memo: Dict[FaultSpec, tuple] = {}
         order = {k: i for i, k in enumerate(WINDOW_FAULTS + POINT_FAULTS)}
         self.specs.sort(key=lambda s: order[s.kind])
 
@@ -347,12 +350,29 @@ class FaultSchedule:
         return (derive_seed(self.seed, f"{kind}:{request_index}")
                 % 100_000) / 100_000
 
+    def _window_starts_at(self, spec: FaultSpec, index: int) -> bool:
+        return self._fraction(spec.kind + ":start", index) < spec.rate
+
     def _window_active(self, spec: FaultSpec, request_index: int) -> bool:
+        """Did a window of ``spec`` start within the last ``span`` indices?
+
+        Start-hashes are stateless, so what is remembered per spec only
+        saves re-hashing: ``(low, high, fired)`` says every index in
+        ``[low, high]`` has been hashed and ``fired`` is the latest of
+        them that started a window (0: none). Requests that arrive in
+        index order extend the range by the indices not hashed yet; any
+        other (the servers of one hub share a schedule but count their
+        own requests) starts the range over at its own window.
+        """
         start = max(1, request_index - spec.span + 1)
-        for index in range(start, request_index + 1):
-            if self._fraction(spec.kind + ":start", index) < spec.rate:
-                return True
-        return False
+        low, high, fired = self._window_memo.get(spec, (1, 0, 0))
+        if request_index < high or not low <= start <= high + 1:
+            low, high, fired = start, start - 1, 0
+        for index in range(high + 1, request_index + 1):
+            if self._window_starts_at(spec, index):
+                fired = index
+        self._window_memo[spec] = (low, request_index, fired)
+        return fired >= start
 
     def force_window(self, kind: str, start: int, span: int,
                      duration: float = 0.0) -> None:
@@ -424,7 +444,7 @@ class FaultSchedule:
         for spec in self.shard_specs:
             lo = max(1, request_index - spec.span + 1)
             for index in range(lo, request_index + 1):
-                if self._fraction(spec.kind + ":start", index) < spec.rate:
+                if self._window_starts_at(spec, index):
                     hits.append((spec, index))
                     break
         return hits

@@ -63,32 +63,41 @@ class WorldDynamics:
     def __post_init__(self) -> None:
         self._rng = RngStream(self.seed, "dynamics")
         self._next_round_id = 1_000_000
+        # CrunchBase ids continue after the world's highest; nothing but
+        # a closing round assigns one once the world exists
+        self._next_crunchbase_id = 1 + max(
+            (c.crunchbase_id for c in self.world.companies.values()
+             if c.crunchbase_id is not None), default=0)
 
     def step(self) -> DayLog:
-        """Advance one day; returns a log of the day's events."""
+        """Advance one day; returns a log of the day's events.
+
+        The day is one walk over the companies in world order, drawing
+        from one sequential stream: a raising company takes its scalar
+        draws on its turn, a dormant one (never funded, not raising)
+        takes exactly one uniform, a funded one takes nothing. The run
+        of dormant companies between two raising ones is therefore drawn
+        as one ``random(k)`` — the same ``k`` doubles, and the same
+        generator state afterwards, as ``k`` scalar calls. Flags are read
+        afresh every day, so a caller may flip them between days.
+        """
         world = self.world
         world.day += 1
-        npr = self._rng.np
         log = DayLog(day=world.day)
+        recent = self._recent_engagement
+        for company_id, value in recent.items():
+            recent[company_id] = value * 0.8     # engagement decays
 
-        for company in world.companies.values():
-            # Engagement decays; raising companies generate fresh activity.
-            recent = self._recent_engagement.get(company.company_id, 0.0) * 0.8
-            if company.currently_raising:
-                if npr.random() < 0.25:
-                    burst = float(npr.exponential(1.0))
-                    recent += burst
-                    log.engagement_events += 1
-                    self._apply_engagement(company, burst)
-                hazard = self.base_close_hazard * (
-                    1.0 + self.engagement_to_funding_lift * recent)
-                if npr.random() < min(0.5, hazard):
-                    self._close_round(company)
-                    log.rounds_closed += 1
-            elif not company.raised_funding and npr.random() < 0.0004:
-                company.currently_raising = True
-                log.new_campaigns += 1
-            self._recent_engagement[company.company_id] = recent
+        # a company's flags change only on its own turn, so the turn
+        # order can be read up front: funded-and-idle companies drop out
+        active = [c for c in world.companies.values()
+                  if c.currently_raising or not c.raised_funding]
+        start = 0
+        for turn in [i for i, c in enumerate(active) if c.currently_raising]:
+            self._wake_campaigns(active[start:turn], log)
+            self._raising_day(active[turn], log)
+            start = turn + 1
+        self._wake_campaigns(active[start:], log)
 
         self.logs.append(log)
         return log
@@ -96,6 +105,33 @@ class WorldDynamics:
     def run(self, days: int) -> List[DayLog]:
         """Advance ``days`` days and return the per-day logs."""
         return [self.step() for _ in range(days)]
+
+    def _wake_campaigns(self, dormant: list, log: DayLog) -> None:
+        """One uniform per dormant company, in order; a rare low draw
+        starts its campaign."""
+        if dormant:
+            draws = self._rng.np.random(len(dormant))
+            for index in (draws < 0.0004).nonzero()[0]:
+                dormant[index].currently_raising = True
+                log.new_campaigns += 1
+
+    def _raising_day(self, company, log: DayLog) -> None:
+        """A raising company generates fresh activity and may close."""
+        npr = self._rng.np
+        recent = self._recent_engagement.get(company.company_id, 0.0)
+        if npr.random() < 0.25:
+            burst = float(npr.exponential(1.0))
+            recent += burst
+            log.engagement_events += 1
+            self._apply_engagement(company, burst)
+            # only companies that ever had a burst are tracked; everyone
+            # else's recent engagement is 0.0 and stays 0.0 under decay
+            self._recent_engagement[company.company_id] = recent
+        hazard = self.base_close_hazard * (
+            1.0 + self.engagement_to_funding_lift * recent)
+        if npr.random() < min(0.5, hazard):
+            self._close_round(company)
+            log.rounds_closed += 1
 
     def _apply_engagement(self, company, burst: float) -> None:
         world = self.world
@@ -124,8 +160,7 @@ class WorldDynamics:
             round_type="seed", amount_usd=amount, announced_day=world.day))
         self._next_round_id += 1
         if company.crunchbase_id is None:
-            existing = [c.crunchbase_id for c in world.companies.values()
-                        if c.crunchbase_id is not None]
-            company.crunchbase_id = (max(existing) + 1) if existing else 1
+            company.crunchbase_id = self._next_crunchbase_id
+            self._next_crunchbase_id += 1
         # Reverse effect: the announcement itself attracts followers.
         company.follower_count += self.reverse_follower_bump

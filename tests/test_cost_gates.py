@@ -5,6 +5,9 @@ exactly, taken on a world small enough for tier-1. A change that makes
 ``investor_activity`` hold follow edges as dicts again, routes a request
 past every template, or builds a JSON encoder per record fails here
 before the repo benchmark (``benchmarks/e2e``) has to notice the time.
+The same for an ingest day: a scalar draw per dormant company, a scan of
+the world per closed round, of the file table per ``listdir`` or of the
+frontier per claimed slice.
 """
 
 import json.encoder
@@ -13,10 +16,14 @@ import pytest
 
 from repro.core.platform import ExploratoryPlatform, PlatformConfig
 from repro.dfs import jsonlines
+from repro.dfs.filesystem import MiniDfs
 from repro.dfs.jsonlines import encode_record, iter_json_dataset
 from repro.engine.metrics import STAGE_SHUFFLE, STAGE_TASK
 from repro.net.http import Route
 from repro.sources.angellist import AngelListServer
+from repro.world.config import WorldConfig
+from repro.world.dynamics import WorldDynamics
+from repro.world.generator import generate_world
 
 FOLLOW_EDGES = "/crawl/angellist/follow_edges"
 
@@ -130,3 +137,134 @@ def test_encode_record_constructs_no_encoder(monkeypatch):
     assert built == []
     assert lines[3] == ('{"dst_id":21,"dst_type":"startup","src_user":3,'
                         '"tags":["\\u00e9",null,1.5]}')
+
+
+# ------------------------------------------------------- the ingest day
+class _CountedDraws:
+    """Stands in for ``RngStream.np``: counts draws by shape."""
+
+    def __init__(self, generator):
+        self._generator = generator
+        self.scalar = self.vector = self.vector_doubles = 0
+
+    def random(self, size=None):
+        if size is None:
+            self.scalar += 1
+        else:
+            self.vector += 1
+            self.vector_doubles += size
+        return self._generator.random(size)
+
+    def exponential(self, scale):
+        self.scalar += 1
+        return self._generator.exponential(scale)
+
+    def standard_normal(self):
+        self.scalar += 1
+        return self._generator.standard_normal()
+
+
+class _CountedDict(dict):
+    """Counts every way of walking the whole dict; look-ups pass."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.walks += 1
+        return super().keys()
+
+    def values(self):
+        self.walks += 1
+        return super().values()
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+
+class _CountedList(list):
+    """Counts iteration; indexing, slicing and bisection pass."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_a_day_draws_per_raising_company_not_per_company(fresh_world):
+    dynamics = WorldDynamics(fresh_world, seed=1, base_close_hazard=0.3)
+    draws = dynamics._rng.np = _CountedDraws(dynamics._rng.np)
+    for _ in range(5):
+        companies = list(fresh_world.companies.values())
+        raising = sum(c.currently_raising for c in companies)
+        dormant = sum(not c.currently_raising and not c.raised_funding
+                      for c in companies)
+        assert raising > 0 and dormant > 20 * raising
+        before = (draws.scalar, draws.vector, draws.vector_doubles)
+        log = dynamics.step()
+        scalar, vector, doubles = (
+            after - was for after, was in zip(
+                (draws.scalar, draws.vector, draws.vector_doubles), before))
+        # burst?, its size, close?, the round's amount: at most four
+        # scalars on a raising company's turn, none on anyone else's
+        assert scalar == (raising + log.engagement_events
+                          + raising + log.rounds_closed)
+        # one vector per run of dormant companies: between raisers + tail
+        assert vector <= raising + 1
+        assert doubles == dormant
+
+
+def test_closing_a_round_never_walks_the_world(fresh_world):
+    dynamics = WorldDynamics(fresh_world, seed=1)
+    raising = [c for c in fresh_world.companies.values()
+               if c.currently_raising and c.crunchbase_id is None]
+    assert raising
+    fresh_world.companies = _CountedDict(fresh_world.companies)
+    for company in raising:
+        dynamics._close_round(company)
+    assert fresh_world.companies.walks == 0
+    ids = [c.crunchbase_id for c in raising]
+    assert ids == list(range(ids[0], ids[0] + len(ids)))
+
+
+def test_listdir_does_not_walk_the_file_table():
+    dfs = MiniDfs(num_datanodes=3)
+    for index in range(5000):
+        dfs.create(f"/big/d{index % 50:02d}/f{index:05d}", b"")
+    for name in ("a", "b", "c"):
+        dfs.create(f"/big/d07x/{name}", b"abc")
+    dfs._files = _CountedDict(dfs._files)
+    dfs._paths = _CountedList(dfs._paths)
+    assert dfs.listdir("/big/d07x") == [
+        "/big/d07x/a", "/big/d07x/b", "/big/d07x/c"]
+    assert dfs.disk_usage("/big/d07x") == 9
+    assert dfs.glob_parts("/big/d07x") == []
+    assert dfs.sweep_temps("/big/d07x") == []
+    assert (dfs._files.walks, dfs._paths.walks) == (0, 0)
+    assert len(dfs.listdir("/big")) == 5003
+
+
+def test_an_ingest_day_claims_its_slice_from_the_frontier_head():
+    world = generate_world(WorldConfig(scale=0.002, seed=7))
+    platform = ExploratoryPlatform(
+        world, config=PlatformConfig(engine_backend="serial"))
+    try:
+        scheduler = platform.ingest_pipeline()
+        scheduler.run_until_day(1)
+        for day in (2, 3):
+            assert len(scheduler.frontier) > scheduler.frontier_batch
+            frontier = scheduler.frontier = _CountedList(scheduler.frontier)
+            expected = list(frontier[scheduler.frontier_batch:])
+            scheduler.run_until_day(day)
+            # the list was cut at its head in place — no pass over it,
+            # no rebuilt copy — and then only appended to
+            assert scheduler.frontier is frontier
+            assert frontier.walks == 0
+            assert frontier[:len(expected)] == expected
+    finally:
+        platform.close()

@@ -325,3 +325,64 @@ class TestKillResumeDeterminism:
         second = [schedule.alert_fault_at(k) for k in keys]
         assert [getattr(f, "kind", None) for f in first] == \
                [getattr(f, "kind", None) for f in second]
+
+
+class TestWindowMemo:
+    """``_window_active`` remembers which indices it has start-hashed;
+    the answers are those of re-hashing the whole window every time."""
+
+    @staticmethod
+    def _scan(schedule, spec, index):
+        return any(
+            schedule._window_starts_at(spec, i)
+            for i in range(max(1, index - spec.span + 1), index + 1))
+
+    @pytest.mark.parametrize("span,rate", [(1, 0.3), (3, 0.05), (25, 0.02)])
+    def test_any_query_order_matches_the_scan(self, span, rate):
+        import random
+        spec = FaultSpec(FAULT_BROWNOUT, rate, duration=1.0, span=span)
+        order = random.Random(span)
+        walks = [list(range(1, 300)),                       # in order
+                 [i for i in range(1, 300) for _ in (0, 1)],    # repeats
+                 [1, 200, 201, 90, 91, 92, 400, 401, 399, 5],   # jumps
+                 [order.randrange(1, 500) for _ in range(400)]]
+        for walk in walks:
+            schedule = FaultSchedule([spec], seed=3)
+            got = [schedule._window_active(spec, i) for i in walk]
+            assert got == [self._scan(schedule, spec, i) for i in walk]
+            assert any(got) and not all(got)
+
+    def test_in_order_requests_hash_each_index_once(self, monkeypatch):
+        schedule = FaultSchedule.serve_chaos(seed=5)
+        hashed = []
+        fraction = schedule._fraction
+        monkeypatch.setattr(
+            schedule, "_fraction",
+            lambda kind, index: hashed.append((kind, index))
+            or fraction(kind, index))
+        for index in range(1, 201):
+            schedule.serve_fault_at(index)
+        starts = [h for h in hashed if h[0].endswith(":start")]
+        assert len(starts) == len(set(starts)) == 200
+
+    def test_servers_sharing_a_schedule_pay_one_window_per_switch(
+            self, monkeypatch):
+        # a hub hands one schedule to servers that each count their own
+        # requests, and a crawl drives them a phase at a time: a switch
+        # of server re-hashes one window, a request within a phase one
+        # index (asked twice: inject, then corrupt)
+        spec = FaultSpec(FAULT_BROWNOUT, 0.02, duration=1.0, span=25)
+        schedule = FaultSchedule([spec], seed=3)
+        hashed = []
+        fraction = schedule._fraction
+        monkeypatch.setattr(
+            schedule, "_fraction",
+            lambda kind, index: hashed.append(index) or fraction(kind, index))
+        phases = [range(1, 301), range(1, 121), range(301, 401),
+                  range(121, 200)]
+        for phase in phases:
+            for index in phase:
+                schedule.fault_at(index)
+                schedule.fault_at(index)
+        requests = sum(len(phase) for phase in phases)
+        assert len(hashed) <= requests + spec.span * len(phases)

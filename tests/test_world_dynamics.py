@@ -50,8 +50,19 @@ class TestStep:
 
     def test_new_campaigns_can_start(self, fresh_world):
         dynamics = WorldDynamics(fresh_world, seed=2)
-        logs = dynamics.run(60)
-        assert sum(log.new_campaigns for log in logs) >= 0
+        companies = fresh_world.companies
+        woken_total = 0
+        for _ in range(60):
+            before = {cid: (c.currently_raising, c.raised_funding)
+                      for cid, c in companies.items()}
+            log = dynamics.step()
+            woken = [cid for cid, c in companies.items()
+                     if c.currently_raising and not before[cid][0]]
+            assert len(woken) == log.new_campaigns
+            # only a never-funded company is woken, a funded one never
+            assert all(before[cid] == (False, False) for cid in woken)
+            woken_total += len(woken)
+        assert woken_total > 0
 
     def test_deterministic_given_seed(self):
         from repro.world.config import WorldConfig

@@ -54,9 +54,15 @@ echo "== counted cost gates (pipeline hot paths) =="
 # landing_reads_per_day, for the pipeline: investor_activity streams
 # follow edges through its filter (no scan stage, no cache spill), a
 # request is matched only against templates of its own shape, and
-# encode_record builds no encoder per record. Part of tier 1 above; run
-# by name so a renamed or deselected module fails the gate
-python -m pytest -q -p no:cacheprovider tests/test_cost_gates.py
+# encode_record builds no encoder per record; and for the ingest day:
+# draws per raising company, no walk of the world per closed round, of
+# the file table per listdir or of the frontier per claimed slice. With
+# them the identities those gates lean on — WorldDynamics.step against
+# the sequential loop, the DFS namespace index against a scan of the
+# file table. Part of tier 1 above; run by name so a renamed or
+# deselected module fails the gate
+python -m pytest -q -p no:cacheprovider tests/test_cost_gates.py \
+    tests/test_world_dynamics_differential.py tests/test_dfs_namespace_ops.py
 
 echo "== benchmark smoke (partition recovery) =="
 # small-scale A5 run: proves losing an executor recomputes strictly
