@@ -8,7 +8,8 @@ Pipeline, exactly as the paper runs it:
 3. score each community on both §5.3 metrics;
 4. Figure 4 — compare the shared-investment-size CDFs of the top
    strong communities against an i.i.d.-pair global sample (800,000
-   pairs at paper scale, scaled down proportionally) with a DKW bound;
+   pairs by default, the paper's count at any world scale) with a DKW
+   bound;
 5. Figure 5 — the PDF across communities of the K=2 shared-investor
    percentage, plus the randomized-communities control;
 6. Figure 7 — pick the strongest community and a weak community and
@@ -74,9 +75,9 @@ def run_community_study(graph: BipartiteGraph,
                         coda_iters: int = 60) -> CommunityStudy:
     """Run the full §5 study on ``graph``.
 
-    ``global_pairs`` is the Figure 4 i.i.d. pair-sample size; callers at
-    reduced world scale should scale it down for speed (the DKW bound is
-    reported either way).
+    ``global_pairs`` is the Figure 4 i.i.d. pair-sample size; the
+    default is the paper's 800,000 whatever the graph's size (the DKW
+    bound is reported for whatever size is used).
     """
     rng = RngStream(seed, "strength")
     filtered = graph.filter_investors(min_investments)
@@ -142,6 +143,5 @@ def community_figure_svg(study: CommunityStudy, graph: BipartiteGraph,
                          seed: int = 0) -> str:
     """Figure 7 rendering for one community of the study."""
     members = sorted(study.coda.investor_communities[community_id])
-    member_set = set(members)
     edges = [(u, c) for u in members for c in graph.portfolio(u)]
     return render_community_svg(members, edges, title=title, seed=seed)

@@ -15,7 +15,10 @@ The log-likelihood over the observed graph is::
 Maximized by block-coordinate projected gradient ascent: each row update
 uses only the row's neighbors plus the cached column sums ``ΣF`` / ``ΣH``
 (the standard BigCLAM trick that makes the non-edge term O(C)), with
-backtracking line search on the row's local objective.
+backtracking line search on the row's local objective. The graph is
+bipartite, so an investor row reads only ``H`` and ``ΣH`` and a company
+row only ``F`` and ``ΣF``: a half-sweep updates all rows of one side at
+once, as segment sums over the CSR edge list.
 
 Membership: node n belongs to community c when its affiliation exceeds
 ``δ = sqrt(−log(1 − ρ))`` where ρ is the background edge density — i.e.
@@ -28,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.community.seeds import select_seed_companies
 from repro.graph.bipartite import BipartiteGraph
@@ -76,7 +80,7 @@ class CoDA:
         max_iters: full sweeps over all rows.
         tol: stop when a sweep improves the log-likelihood by less than
             ``tol`` in relative terms.
-        seed: RNG seed for initialization noise and sweep order.
+        seed: RNG seed for initialization noise and seed selection.
         min_community_size: detected communities smaller than this are
             dropped (they carry no pairwise statistics).
     """
@@ -100,39 +104,24 @@ class CoDA:
         inv_index = {uid: i for i, uid in enumerate(investor_ids)}
         com_index = {cid: i for i, cid in enumerate(company_ids)}
         n_inv, n_com = len(investor_ids), len(company_ids)
-        C = self.num_communities
 
-        out_nbrs = [np.array(sorted(com_index[c]
-                                    for c in graph.portfolio(uid)),
-                             dtype=np.int64)
-                    for uid in investor_ids]
-        in_nbrs = [np.array(sorted(inv_index[u]
-                                   for u in graph.backers(cid)),
-                            dtype=np.int64)
-                   for cid in company_ids]
+        pairs = np.array([(inv_index[u], com_index[c])
+                          for u, c in graph.edges()], np.int64).reshape(-1, 2)
+        out_edges = sparse.csr_matrix(    # investor → company
+            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+            shape=(n_inv, n_com))
+        in_edges = out_edges.T.tocsr()    # company → investor
 
         F, H = self._initialize(graph, investor_ids, company_ids,
                                 inv_index, com_index, rng)
 
-        sum_F = F.sum(axis=0)
-        sum_H = H.sum(axis=0)
         last_ll = -np.inf
         iterations = 0
         for sweep in range(self.max_iters):
             iterations = sweep + 1
-            order = list(range(n_inv))
-            rng.shuffle(order)
-            for i in order:
-                sum_F -= F[i]
-                F[i] = _update_row(F[i], H, out_nbrs[i], sum_H)
-                sum_F += F[i]
-            order = list(range(n_com))
-            rng.shuffle(order)
-            for j in order:
-                sum_H -= H[j]
-                H[j] = _update_row(H[j], F, in_nbrs[j], sum_F)
-                sum_H += H[j]
-            ll = _log_likelihood(F, H, out_nbrs, sum_H)
+            F = _half_sweep(F, H, out_edges)
+            H = _half_sweep(H, F, in_edges)
+            ll = _log_likelihood(F, H, out_edges)
             if np.isfinite(last_ll) and abs(ll - last_ll) <= self.tol * (
                     abs(last_ll) + 1.0):
                 last_ll = ll
@@ -210,45 +199,54 @@ def _balance_columns(F: np.ndarray, H: np.ndarray) -> None:
         H[:, c] /= scale
 
 
-def _update_row(row: np.ndarray, other: np.ndarray,
-                neighbors: np.ndarray, sum_other: np.ndarray,
-                step: float = 0.3, backtracks: int = 5) -> np.ndarray:
-    """One projected-gradient step with backtracking on the row objective."""
-    if neighbors.size == 0:
-        return np.zeros_like(row)
-    nbr_vecs = other[neighbors]                     # (d, C)
-    nbr_sum = nbr_vecs.sum(axis=0)
+def _edge_dots(rows: np.ndarray, owners: np.ndarray,
+               nbr_vecs: np.ndarray) -> np.ndarray:
+    """``max(ε, rows[i] · nbr_vec)`` for every edge, ``i`` its owner."""
+    return np.maximum(_EPS, np.einsum("ec,ec->e", rows[owners], nbr_vecs))
 
-    def objective(candidate: np.ndarray) -> float:
-        dots = np.maximum(_EPS, nbr_vecs @ candidate)
-        return float(np.log1p(-np.exp(-dots) + _EPS).sum()
-                     - candidate @ (sum_other - nbr_sum))
 
-    dots = np.maximum(_EPS, nbr_vecs @ row)
+def _half_sweep(rows: np.ndarray, other: np.ndarray,
+                edges: sparse.csr_matrix, step: float = 0.3,
+                backtracks: int = 5) -> np.ndarray:
+    """One projected-gradient step with backtracking for every row at once.
+
+    Row ``i``'s neighbors are ``edges``' row ``i``; its objective is its
+    edges' log-likelihood minus ``x · (ΣO − Σ_neighbors O)``. A row takes
+    the first of the halving step scales that improves its own objective
+    and keeps its value if none does; a row with no neighbors becomes 0.
+    """
+    owners = np.repeat(np.arange(len(rows)), np.diff(edges.indptr))
+    nbr_vecs = other[edges.indices]                 # (E, C), one per edge
+    rest = other.sum(axis=0) - edges @ other        # non-neighbor sums
+
+    def objective(candidate: np.ndarray) -> np.ndarray:
+        dots = _edge_dots(candidate, owners, nbr_vecs)
+        return (np.bincount(owners, np.log1p(-np.exp(-dots) + _EPS),
+                            minlength=len(rows))
+                - np.einsum("ic,ic->i", candidate, rest))
+
+    dots = _edge_dots(rows, owners, nbr_vecs)
     weights = np.exp(-dots) / np.maximum(_EPS, 1.0 - np.exp(-dots))
-    grad = weights @ nbr_vecs - (sum_other - nbr_sum)
+    grad = sparse.csr_matrix((weights, edges.indices, edges.indptr),
+                             shape=edges.shape) @ other - rest
 
-    current = objective(row)
+    current = objective(rows)
+    pending = np.diff(edges.indptr) > 0
+    updated = np.where(pending[:, None], rows, 0.0)
     scale = step
     for _ in range(backtracks):
-        candidate = np.clip(row + scale * grad, 0.0, _MAX_AFFILIATION)
-        if objective(candidate) > current:
-            return candidate
+        candidate = np.clip(rows + scale * grad, 0.0, _MAX_AFFILIATION)
+        accept = pending & (objective(candidate) > current)
+        updated[accept] = candidate[accept]
+        pending &= ~accept
         scale *= 0.5
-    return row
+    return updated
 
 
 def _log_likelihood(F: np.ndarray, H: np.ndarray,
-                    out_nbrs: List[np.ndarray],
-                    sum_H: np.ndarray) -> float:
+                    out_edges: sparse.csr_matrix) -> float:
     """Full model log-likelihood using the non-edge cache trick."""
-    total = 0.0
-    edge_dot_sum = 0.0
-    for i, neighbors in enumerate(out_nbrs):
-        if neighbors.size == 0:
-            continue
-        dots = np.maximum(_EPS, H[neighbors] @ F[i])
-        total += float(np.log1p(-np.exp(-dots) + _EPS).sum())
-        edge_dot_sum += float(dots.sum())
-    total -= float(F.sum(axis=0) @ sum_H) - edge_dot_sum
-    return total
+    owners = np.repeat(np.arange(len(F)), np.diff(out_edges.indptr))
+    dots = _edge_dots(F, owners, H[out_edges.indices])
+    return float(np.log1p(-np.exp(-dots) + _EPS).sum()
+                 - (F.sum(axis=0) @ H.sum(axis=0) - dots.sum()))

@@ -27,15 +27,23 @@ entry is present) stays in :class:`~repro.engine.rdd.JobRunner`.
 
 from __future__ import annotations
 
+import pickle
+import struct
 import zlib
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
 from repro.engine.planner import estimate_rows_bytes
 from repro.engine.shuffle import PICKLING_ERRORS
+from repro.util.errors import NotFoundError, StorageError
 
 STORAGE_MEMORY = "memory"
 STORAGE_DFS = "dfs"
+
+#: a spill part that is gone, unreadable or corrupt: the DFS lost it, the
+#: compressed stream is damaged, or the row codec rejects what it holds
+SPILL_READ_ERRORS = (NotFoundError, StorageError, zlib.error, ValueError,
+                     EOFError, struct.error, pickle.UnpicklingError)
 
 
 class _Entry:
@@ -64,6 +72,7 @@ class CacheManager:
         self.evictions = 0
         self.spills = 0
         self.spill_failures = 0
+        self.spill_read_failures = 0
 
     # -------------------------------------------------------------- accounting
     @property
@@ -76,7 +85,8 @@ class CacheManager:
                 "bytes_in_memory": self.bytes_in_memory,
                 "hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions, "spills": self.spills,
-                "spill_failures": self.spill_failures}
+                "spill_failures": self.spill_failures,
+                "spill_read_failures": self.spill_read_failures}
 
     # ------------------------------------------------------------------- store
     def put(self, rdd_id: int, partitions: List[List[Any]],
@@ -171,7 +181,8 @@ class CacheManager:
             return [decode_rows(zlib.decompress(
                 self.dfs.read(self._part_path(rdd_id, index))))
                 for index in range(part_count)]
-        except Exception:
+        except SPILL_READ_ERRORS:
+            self.spill_read_failures += 1
             return None  # lost/corrupt spill → recompute from lineage
 
     def __contains__(self, rdd_id: int) -> bool:
@@ -186,8 +197,8 @@ class CacheManager:
         for path in list(self.dfs.listdir(prefix)):
             try:
                 self.dfs.delete(path)
-            except Exception:
-                pass
+            except NotFoundError:
+                pass    # already gone
 
     def clear(self) -> None:
         for rdd_id in list(self._entries):

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Set
+from typing import Dict, Hashable, List, Mapping, Sequence, Set
+
+import numpy as np
 
 from repro.util.rng import RngStream
 
@@ -46,21 +48,38 @@ def sampled_shared_sizes(investors: Sequence[int], portfolios: Portfolio,
     """Shared sizes for ``num_pairs`` i.i.d. uniformly sampled pairs.
 
     This is the paper's Figure 4 global baseline: 800,000 i.i.d. sample
-    pairs across the whole bipartite graph.
+    pairs across the whole bipartite graph. Each end of the pairs is one
+    vector draw, ``j`` skipping ``i`` so nobody pairs with themselves;
+    each overlap is counted by probing the smaller portfolio's companies
+    against the sorted ``(investor, company)`` keys of all portfolios.
     """
-    if len(investors) < 2:
-        return []
-    sizes = []
     n = len(investors)
-    for _ in range(num_pairs):
-        i = rng.py.randrange(n)
-        j = rng.py.randrange(n - 1)
-        if j >= i:
-            j += 1
-        sizes.append(shared_investment_size(
-            portfolios.get(investors[i], set()),
-            portfolios.get(investors[j], set())))
-    return sizes
+    if n < 2:
+        return []
+    i = rng.np.integers(0, n, size=num_pairs)
+    j = rng.np.integers(0, n - 1, size=num_pairs)
+    j += j >= i
+    dense: Dict[Hashable, int] = {}      # company id → dense int
+    held = [[dense.setdefault(c, len(dense))
+             for c in portfolios.get(investor, ())]
+            for investor in investors]
+    degree = np.array([len(h) for h in held], dtype=np.int64)
+    start = np.cumsum(degree) - degree
+    companies = np.fromiter(itertools.chain.from_iterable(held), np.int64,
+                            count=int(degree.sum()))
+    keys = np.repeat(np.arange(n), degree) * len(dense) + companies
+    keys.sort()
+
+    small = np.where(degree[i] <= degree[j], i, j)
+    other = i + j - small
+    counts = degree[small]
+    pair = np.repeat(np.arange(num_pairs), counts)
+    offset = np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts,
+                                              counts)
+    probes = other[pair] * len(dense) + companies[start[small][pair] + offset]
+    found = np.searchsorted(keys, probes)
+    hit = keys[np.minimum(found, len(keys) - 1)] == probes
+    return np.bincount(pair[hit], minlength=num_pairs).tolist()
 
 
 def shared_investor_percentage(members: Sequence[int],

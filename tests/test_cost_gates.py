@@ -7,20 +7,28 @@ past every template, or builds a JSON encoder per record fails here
 before the repo benchmark (``benchmarks/e2e``) has to notice the time.
 The same for an ingest day: a scalar draw per dormant company, a scan of
 the world per closed round, of the file table per ``listdir`` or of the
-frontier per claimed slice.
+frontier per claimed slice. And for the §5 community study: a CoDA sweep
+whose Python-level calls grow with the graph, or a Figure 4 pair sample
+drawn one ``randrange`` at a time.
 """
 
 import json.encoder
+import random
+import sys
 
 import pytest
 
+from repro.community.coda import CoDA
 from repro.core.platform import ExploratoryPlatform, PlatformConfig
 from repro.dfs import jsonlines
 from repro.dfs.filesystem import MiniDfs
 from repro.dfs.jsonlines import encode_record, iter_json_dataset
 from repro.engine.metrics import STAGE_SHUFFLE, STAGE_TASK
+from repro.graph.bipartite import BipartiteGraph
+from repro.metrics.shared import sampled_shared_sizes
 from repro.net.http import Route
 from repro.sources.angellist import AngelListServer
+from repro.util.rng import RngStream
 from repro.world.config import WorldConfig
 from repro.world.dynamics import WorldDynamics
 from repro.world.generator import generate_world
@@ -268,3 +276,71 @@ def test_an_ingest_day_claims_its_slice_from_the_frontier_head():
             assert frontier[:len(expected)] == expected
     finally:
         platform.close()
+
+
+# ---------------------------------------------------- the community study
+def _planted_blocks(blocks):
+    """``blocks`` co-investment blocks of 10 investors × 10 companies,
+    each edge kept with probability 0.6, plus a little cross-block
+    noise."""
+    rng = RngStream(3)
+    edges = [(10 * b + u, 1000 * (b + 1) + c)
+             for b in range(blocks) for u in range(10) for c in range(10)
+             if rng.bernoulli(0.6)]
+    edges += [(rng.randint(0, 10 * blocks - 1),
+               1000 * rng.randint(1, blocks) + rng.randint(0, 9))
+              for _ in range(5 * blocks)]
+    return BipartiteGraph(edges)
+
+
+def _python_calls(fit, graph):
+    """Python-level calls (``sys.setprofile`` ``call`` events) in ``fit``."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+    sys.setprofile(count)
+    try:
+        result = fit(graph)
+    finally:
+        sys.setprofile(None)
+    return calls, result
+
+
+def test_a_coda_sweep_makes_no_more_calls_at_four_times_the_rows():
+    # numpy and scipy fill type-check caches on first use; fill them first
+    CoDA(num_communities=3, max_iters=2).fit(_planted_blocks(2))
+    per_sweep = []
+    for blocks in (3, 12):
+        graph = _planted_blocks(blocks)
+        counted = []
+        for sweeps in (2, 5):
+            model = CoDA(num_communities=3, max_iters=sweeps, tol=0.0,
+                         seed=1)
+            calls, result = _python_calls(model.fit, graph)
+            assert result.iterations == sweeps
+            counted.append(calls)
+        # set-up and extraction are the same in both fits and cancel
+        per_sweep.append((counted[1] - counted[0]) / 3)
+    small, large = per_sweep
+    assert 0 < large <= small, per_sweep
+
+
+def test_the_global_pair_sample_never_calls_randrange(monkeypatch):
+    calls = []
+    randrange = random.Random.randrange
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return randrange(self, *args, **kwargs)
+    monkeypatch.setattr(random.Random, "randrange", counting)
+    RngStream(0).randint(1, 6)          # the counter sees stream draws
+    assert len(calls) == 1
+    calls.clear()
+    portfolios = {u: {u % 7, 100 + u % 11} for u in range(50)}
+    for num_pairs in (0, 1, 2, 1000, 100_000):
+        sizes = sampled_shared_sizes(list(range(50)), portfolios, num_pairs,
+                                     RngStream(num_pairs))
+        assert len(sizes) == num_pairs
+    assert calls == []

@@ -10,6 +10,7 @@ exactly once, with every later read served from the cache.
 
 import inspect
 import pickle
+import zlib
 
 import pytest
 
@@ -97,6 +98,55 @@ class TestCacheManager:
             dfs.delete(path)
         assert manager.get(3) is None  # recompute from lineage instead
         assert 3 not in manager
+        assert manager.stats()["spill_read_failures"] == 1
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[:len(blob) // 2],             # truncated stream
+        lambda blob: b"not zlib at all",
+        lambda blob: zlib.compress(b"B" + b"\x00" * 40),  # bad batch
+        lambda blob: zlib.compress(b"P" + b"\x80\x05garbage"),  # bad pickle
+        None,                       # every replica fails its checksum
+    ])
+    def test_corrupt_spill_is_recomputed_and_counted(self, damage):
+        dfs = MiniDfs(num_datanodes=2)
+        with SparkLiteContext(parallelism=2, backend="serial",
+                              cache_dfs=dfs) as sc:
+            rdd = sc.parallelize(range(12), 3).map(lambda x: x * 10) \
+                .persist(storage="dfs")
+            assert rdd.collect() == [x * 10 for x in range(12)]
+            path = dfs.glob_parts(f"/engine/cache/rdd-{rdd.rdd_id}")[1]
+            if damage is None:
+                for node_id in dfs.stat(path).blocks[0].locations:
+                    dfs.corrupt_block(path, 0, node_id)
+            else:
+                blob = damage(dfs.read(path))
+                dfs.delete(path)
+                dfs.write_atomic(path, blob)
+            assert rdd.collect() == [x * 10 for x in range(12)]
+            assert sc.cache_manager.stats()["spill_read_failures"] == 1
+
+    def test_a_decoder_bug_propagates(self, monkeypatch):
+        from repro.engine import columnar
+        dfs = MiniDfs(num_datanodes=2)
+        manager = CacheManager(dfs=dfs)
+        manager.put(3, PARTS, storage="dfs")
+
+        def broken(blob):
+            raise TypeError("decoder bug")
+        monkeypatch.setattr(columnar, "decode_rows", broken)
+        with pytest.raises(TypeError, match="decoder bug"):
+            manager.get(3)
+        assert manager.stats()["spill_read_failures"] == 0
+
+    def test_unpersist_tolerates_a_part_already_gone(self, monkeypatch):
+        dfs = MiniDfs(num_datanodes=2)
+        manager = CacheManager(dfs=dfs)
+        manager.put(3, PARTS, storage="dfs")
+        listed = dfs.listdir("/engine/cache/rdd-3")
+        dfs.delete(listed[0])       # gone between listing and deleting
+        monkeypatch.setattr(dfs, "listdir", lambda prefix: listed)
+        manager.unpersist(3)
+        assert not any(dfs.exists(path) for path in listed)
 
     def test_unpicklable_entries_are_pinned(self):
         parts = [[(x for x in range(3))]]  # generators do not pickle

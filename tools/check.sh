@@ -59,10 +59,14 @@ echo "== counted cost gates (pipeline hot paths) =="
 # the file table per listdir or of the frontier per claimed slice. With
 # them the identities those gates lean on — WorldDynamics.step against
 # the sequential loop, the DFS namespace index against a scan of the
-# file table. Part of tier 1 above; run by name so a renamed or
-# deselected module fails the gate
+# file table. For the community study: a CoDA sweep's Python calls do
+# not grow with the graph and the Figure 4 sample calls no randrange,
+# held with the array CoDA against the row loop it replaced. Part of
+# tier 1 above; run by name so a renamed or deselected module fails the
+# gate
 python -m pytest -q -p no:cacheprovider tests/test_cost_gates.py \
-    tests/test_world_dynamics_differential.py tests/test_dfs_namespace_ops.py
+    tests/test_world_dynamics_differential.py tests/test_dfs_namespace_ops.py \
+    tests/test_community_coda_differential.py
 
 echo "== benchmark smoke (partition recovery) =="
 # small-scale A5 run: proves losing an executor recomputes strictly
