@@ -10,7 +10,9 @@ claim: the delta-aware derived-dataset maintenance engine-scans each
 source record at most once over the run's lifetime, where a daily full
 rebuild scans the whole corpus every day. A third pins landing cost:
 the data-file reads of an ingest day are bounded by the deltas that day
-landed, flat in the length of the chain behind them.
+landed, and the bytes the datasets' logs read and write are the same on
+the last day as on the second — both flat in the length of the chain
+behind them.
 
 Run standalone this writes the ``BENCH_ingest.json`` perf-trajectory
 file that ``tools/check.sh`` produces for every PR::
@@ -39,12 +41,15 @@ SEED = 7
 DAYS = 3
 #: the landing-cost run is longer than the drill: a per-day cost that
 #: grows with the chain needs a chain to show on
-LANDING_DAYS = 6
+LANDING_DAYS = 64
+#: what a day's log traffic may exceed day 2's by: the digits of record
+#: counts and sequence numbers, never a record per day of history
+LOG_BYTES_SLACK = 64
 #: the day whose units the drill kills (its work is mid-stream: day 1
 #: already committed, day 3 still ahead)
 KILL_DAY = 2
 #: unit kinds that land datasets have a mid-land window; the other two
-#: never touch an upsert manifest
+#: never touch an upsert dataset
 LANDING_KINDS = ("snapshot", "frontier", "derived")
 PURE_KINDS = ("advance", "discover")
 
@@ -80,8 +85,7 @@ def _run(platform, kill=None, days=DAYS):
                   for name, ds in scheduler.dataset_map().items()},
         "dup_groups": {name: ds.duplicate_key_groups()
                        for name, ds in scheduler.dataset_map().items()},
-        "live_leases": len(scheduler.ledger.live_leases()),
-        "expired_leases": len(scheduler.ledger.expired_leases()),
+        "leases_left": len(scheduler.ledger.leases.leases()),
         "pending_units": len(scheduler.ledger.pending_units()),
     }
 
@@ -105,31 +109,41 @@ def _raw_source_records(scheduler):
 
 def _landing_reads(days=LANDING_DAYS):
     """Per ingest day of a fault-free run: ``MiniDfs.read`` calls on
-    dataset data files (``MANIFEST.json`` and the ledger are excluded by
-    name) next to the delta files that day landed."""
+    dataset data files next to the delta files that day landed, and the
+    bytes read and written under the datasets' logs (``<root>/_log``)."""
     platform = _platform()
     try:
         scheduler = platform.ingest_pipeline()
         dfs = scheduler.dfs
-        reads = []
-        real_read = dfs.read
+        day_row = {}
+        real_read, real_create = dfs.read, dfs.create
 
         def counting_read(path):
-            if path.startswith("/ingest/") and posixpath.basename(
+            data = real_read(path)
+            if "/_log/" in path:
+                day_row["manifest_log_bytes_read"] += len(data)
+            elif path.startswith("/ingest/") and posixpath.basename(
                     path).startswith(("base-", "delta-")):
-                reads.append(path)
-            return real_read(path)
+                day_row["data_file_reads"] += 1
+            return data
 
-        dfs.read = counting_read
+        def counting_create(path, data):
+            if "/_log/" in path:
+                day_row["manifest_log_bytes_written"] += len(data)
+            return real_create(path, data)
+
+        dfs.read, dfs.create = counting_read, counting_create
         rows = []
         landed_before = 0
         for day in range(1, days + 1):
-            del reads[:]
+            day_row = {"day": day, "data_file_reads": 0,
+                       "manifest_log_bytes_read": 0,
+                       "manifest_log_bytes_written": 0}
             scheduler.run_until_day(day)
             landed = sum(ds.max_delta_seq()
                          for ds in scheduler.dataset_map().values())
-            rows.append({"day": day, "data_file_reads": len(reads),
-                         "deltas_landed": landed - landed_before})
+            day_row["deltas_landed"] = landed - landed_before
+            rows.append(day_row)
             landed_before = landed
         return rows
     finally:
@@ -137,11 +151,16 @@ def _landing_reads(days=LANDING_DAYS):
 
 
 def _landing_violations(rows):
-    """Days after the first that read more than twice what they landed
-    (a new delta may be read by the derived pass and folded into a key
-    index once; the chain behind it never)."""
+    """Days after the first that read more than twice the data files
+    they landed (a new delta may be read by the derived pass and folded
+    into a key index once; the chain behind it never), or whose log
+    traffic exceeds day 2's by more than :data:`LOG_BYTES_SLACK`."""
+    second = rows[1]
     return [row for row in rows[1:]
-            if row["data_file_reads"] > 2 * row["deltas_landed"]]
+            if row["data_file_reads"] > 2 * row["deltas_landed"]
+            or any(row[k] > second[k] + LOG_BYTES_SLACK
+                   for k in ("manifest_log_bytes_read",
+                             "manifest_log_bytes_written"))]
 
 
 # ------------------------------------------------------------------ pytest
@@ -165,7 +184,7 @@ def test_a8_kill_resume_byte_identical(unit, state, baseline):
         assert run["kills"] == 1, f"kill at {unit}@{state} never fired"
         assert run["bytes"] == baseline["bytes"]
         assert run["dup_groups"] == baseline["dup_groups"]
-        assert run["live_leases"] == run["expired_leases"] == 0
+        assert run["leases_left"] == 0
         assert run["pending_units"] == 0
     finally:
         platform.close()
@@ -197,8 +216,7 @@ def _bench_payload(days: int) -> dict:
                 run = _run(platform, kill=(unit, state), days=days)
                 identical = run["bytes"] == base["bytes"]
                 clean = (run["dup_groups"] == base["dup_groups"]
-                         and run["live_leases"] == 0
-                         and run["expired_leases"] == 0
+                         and run["leases_left"] == 0
                          and run["pending_units"] == 0)
                 if not (identical and clean and run["kills"] == 1):
                     failures.append(f"{unit}@{state}")
@@ -280,6 +298,11 @@ def main(argv=None) -> int:
     print("landing reads per day (data-file reads / deltas landed): "
           + ", ".join(f"{row['data_file_reads']}/{row['deltas_landed']}"
                       for row in landing))
+    print("dataset log bytes per day (read / written): day 2 "
+          f"{landing[1]['manifest_log_bytes_read']}/"
+          f"{landing[1]['manifest_log_bytes_written']}, day "
+          f"{landing[-1]['day']} {landing[-1]['manifest_log_bytes_read']}/"
+          f"{landing[-1]['manifest_log_bytes_written']}")
 
     if payload["failures"]:
         print(f"INGEST REGRESSION: {len(payload['failures'])} kill "
@@ -291,9 +314,11 @@ def main(argv=None) -> int:
         return 1
     heavy_days = _landing_violations(landing)
     if heavy_days:
-        print("INGEST REGRESSION: landing re-reads the chain — day(s) "
+        print("INGEST REGRESSION: landing pays for the chain — day(s) "
               + ", ".join(str(row["day"]) for row in heavy_days)
-              + " read more than 2x the delta files they landed")
+              + " read more than 2x the delta files they landed, or "
+              "moved more log bytes than day 2 plus "
+              f"{LOG_BYTES_SLACK}")
         return 1
     if args.json:
         os.makedirs(os.path.dirname(args.json) or ".", exist_ok=True)

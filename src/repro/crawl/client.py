@@ -26,7 +26,7 @@ from repro.net.http import (CorruptPayload, Request, Response, SimServer,
 from repro.util.clock import Clock
 from repro.util.errors import (AuthError, CrawlError, DeadLetterError,
                                NotFoundError)
-from repro.util.rng import derive_seed
+from repro.util.rng import jittered_backoff
 
 #: attribute of the request the credential rides in, per source style.
 AUTH_BEARER = "bearer"          # Authorization: Bearer <token> (AngelList)
@@ -181,13 +181,9 @@ class ApiClient:
         index, lifetime request count), so a fixed seed reproduces the
         exact sleep schedule while distinct seeds decorrelate workers.
         """
-        backoff = self.backoff_base * (2 ** retry_index)
-        if self.backoff_jitter > 0.0:
-            label = f"{path}:{retry_index}:{self.stats.requests}"
-            fraction = (derive_seed(self.jitter_seed, label)
-                        % 100_000) / 100_000
-            backoff *= 1.0 + self.backoff_jitter * fraction
-        return backoff
+        return jittered_backoff(
+            self.backoff_base, retry_index, self.backoff_jitter,
+            self.jitter_seed, f"{path}:{retry_index}:{self.stats.requests}")
 
     def _transient_failure(self) -> None:
         if self.breaker is not None:

@@ -25,12 +25,11 @@ the A8 benchmark gates on exactly this ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.dfs.filesystem import MiniDfs
 from repro.dfs.upsert import UpsertDataset
 from repro.engine.context import SparkLiteContext
-from repro.graph.bipartite import BipartiteGraph
 
 
 @dataclass
@@ -69,7 +68,6 @@ class DerivedMaintainer:
             key=("src_user", "dst_type", "dst_id"))
         #: lifetime accounting the A8 bench gates on
         self.records_scanned_total = 0
-        self.passes = 0
 
     # -------------------------------------------------------------- planning
     def plan(self, watermarks: Optional[Dict[str, int]] = None,
@@ -131,17 +129,4 @@ class DerivedMaintainer:
         if applied.applied:
             result.follow_edges_landed = applied.records
         self.records_scanned_total += result.records_scanned
-        self.passes += 1
         return result
-
-    # --------------------------------------------------------------- readers
-    def investor_graph(self) -> BipartiteGraph:
-        """The §5.1 bipartite graph, straight from the maintained edge
-        list — no full merge job required."""
-        edges = [(int(r["investor_id"]), int(r["company_id"]))
-                 for r in self.investment_edges.read()]
-        return BipartiteGraph(edges)
-
-    def edge_counts(self) -> Tuple[int, int]:
-        return (self.investment_edges.key_count(),
-                self.follow_edges.key_count())

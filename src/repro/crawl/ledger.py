@@ -4,38 +4,30 @@ The continuous crawl is organized as *work units* (advance the world a
 day, expand a frontier slice, capture a snapshot, refresh the derived
 datasets). The ledger is the only durable truth about them:
 
-* **intent record** — appended (``write_atomic``) *before* a unit's
-  side effects start; its payload pins every input the unit needs
-  (frontier slice, delta range), so a redelivered unit re-executes the
-  same work even though the in-memory scheduler that planned it died;
+* **intent record** — appended *before* a unit's side effects start;
+  its payload pins every input the unit needs (frontier slice, delta
+  range), so a redelivered unit re-executes the same work even though
+  the in-memory scheduler that planned it died;
 * **commit record** — appended after the unit's effects landed; its
   payload carries the results the next incarnation of the scheduler
   replays to rebuild in-memory state (tracked sets, frontier queues);
 * a unit with an intent but no commit is *pending*: crashed mid-flight,
-  and must be redelivered — its landing is idempotent by design;
-* records carry **monotonic sequence numbers** assigned at append time
-  and recovered by scanning on :meth:`open`, so replay order is total.
+  and must be redelivered — its landing is idempotent by design.
 
-Leases make redelivery safe with more than one worker (or one worker
-that a watchdog believes dead): a unit may only be executed under a
-live lease; heartbeats extend it; an expired lease can be **reclaimed**
-by a supervisor and handed to another owner with a higher *epoch* — and
-a commit from the old owner is fenced off (:class:`LeaseExpired`), the
-classic fencing-token protocol.
-
-Opening a ledger also sweeps orphaned atomic-write temp files under its
-root (crash between ``create`` and ``rename``), so recovery starts from
-clean storage.
+The records are a :class:`~repro.durable.EventLog` (recovered on
+:meth:`IngestLedger.open`, which first sweeps orphaned atomic-write
+temps) and the leases a :class:`~repro.durable.LeaseTable`: a unit runs
+only under a live lease, and a commit from an owner whose lease was
+handed on under a higher *epoch* is fenced off (:class:`LeaseExpired`).
 """
 
 from __future__ import annotations
 
-import json
-import posixpath
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.dfs.filesystem import MiniDfs
+from repro.durable import EventLog, LeaseTable
 from repro.util.clock import Clock
 from repro.util.errors import IngestError, LeaseExpired
 
@@ -57,63 +49,20 @@ class LedgerRecord:
     at: float
     payload: Dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps({"seq": self.seq, "type": self.type,
-                           "unit": self.unit, "at": self.at,
-                           "payload": self.payload}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LedgerRecord":
-        doc = json.loads(text)
-        return cls(seq=int(doc["seq"]), type=doc["type"], unit=doc["unit"],
-                   at=float(doc["at"]), payload=dict(doc["payload"]))
-
-
-@dataclass
-class Lease:
-    """Ownership of one work unit, bounded in time, fenced by epoch."""
-
-    unit: str
-    owner: str
-    epoch: int
-    expires_at: float
-
-    def expired(self, now: float) -> bool:
-        return now >= self.expires_at
-
-    def to_json(self) -> str:
-        return json.dumps({"unit": self.unit, "owner": self.owner,
-                           "epoch": self.epoch,
-                           "expires_at": self.expires_at}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Lease":
-        doc = json.loads(text)
-        return cls(unit=doc["unit"], owner=doc["owner"],
-                   epoch=int(doc["epoch"]),
-                   expires_at=float(doc["expires_at"]))
-
-
-def _lease_name(unit: str) -> str:
-    # unit ids use ':'/'-' freely; only '/' would change the namespace
-    return unit.replace("/", "_")
-
 
 class IngestLedger:
     """The durable heart of the continuous-ingest tier."""
 
     def __init__(self, dfs: MiniDfs, clock: Clock,
                  root: str = "/crawl/ledger", lease_ttl_s: float = 300.0):
-        if lease_ttl_s <= 0:
-            raise IngestError("lease_ttl_s must be > 0")
         self.dfs = dfs
         self.clock = clock
         self.root = root.rstrip("/")
-        self.lease_ttl_s = lease_ttl_s
-        self._records: List[LedgerRecord] = []
-        self._intents: Dict[str, LedgerRecord] = {}
-        self._commits: Dict[str, LedgerRecord] = {}
-        self._next_seq = 1
+        self.leases = LeaseTable(dfs, clock, f"{self.root}/leases",
+                                 lease_ttl_s)
+        self._log = EventLog(dfs, f"{self.root}/records",
+                             reset=self._reset, fold=self._fold)
+        self._reset(None)
         self._opened = False
         #: temp files reclaimed by the crash sweep on open
         self.swept_temps = 0
@@ -121,32 +70,10 @@ class IngestLedger:
         self.fenced_commits = 0
 
     # ---------------------------------------------------------------- open
-    @property
-    def records_root(self) -> str:
-        return f"{self.root}/records"
-
-    @property
-    def leases_root(self) -> str:
-        return f"{self.root}/leases"
-
     def open(self) -> "IngestLedger":
         """Recover ledger state from storage (crash-safe entry point)."""
         self.swept_temps = len(self.dfs.sweep_temps(self.root))
-        self._records = []
-        self._intents = {}
-        self._commits = {}
-        for path in self.dfs.listdir(self.records_root):
-            if not posixpath.basename(path).startswith("rec-"):
-                continue
-            record = LedgerRecord.from_json(self.dfs.read_text(path))
-            self._records.append(record)
-        self._records.sort(key=lambda r: r.seq)
-        for record in self._records:
-            if record.type == REC_INTENT:
-                self._intents.setdefault(record.unit, record)
-            else:
-                self._commits.setdefault(record.unit, record)
-        self._next_seq = (self._records[-1].seq + 1 if self._records else 1)
+        self._log.refresh()
         self._opened = True
         return self
 
@@ -154,17 +81,31 @@ class IngestLedger:
         if not self._opened:
             raise IngestError("ledger must be open()ed before use")
 
+    def _reset(self, _state: Optional[Dict]) -> None:
+        self._records: List[LedgerRecord] = []
+        self._intents: Dict[str, LedgerRecord] = {}
+        self._commits: Dict[str, LedgerRecord] = {}
+        #: units with an intent and no commit, in intent order
+        self._pending: Dict[str, None] = {}
+
+    def _fold(self, doc: Dict) -> None:
+        record = LedgerRecord(**doc)
+        self._records.append(record)
+        if record.type == REC_INTENT:
+            self._intents.setdefault(record.unit, record)
+            if record.unit not in self._commits:
+                self._pending[record.unit] = None
+        else:
+            self._commits.setdefault(record.unit, record)
+            self._pending.pop(record.unit, None)
+
     # -------------------------------------------------------------- records
     def _append(self, rec_type: str, unit: str,
                 payload: Optional[Dict]) -> LedgerRecord:
-        record = LedgerRecord(seq=self._next_seq, type=rec_type, unit=unit,
-                              at=self.clock.now(),
-                              payload=dict(payload or {}))
-        path = f"{self.records_root}/rec-{record.seq:08d}.json"
-        self.dfs.write_atomic_text(path, record.to_json() + "\n")
-        self._next_seq += 1
-        self._records.append(record)
-        return record
+        self._log.append({"type": rec_type, "unit": unit,
+                          "at": self.clock.now(),
+                          "payload": dict(payload or {})})
+        return self._records[-1]
 
     def begin(self, unit: str,
               payload: Optional[Dict] = None) -> LedgerRecord:
@@ -172,14 +113,13 @@ class IngestLedger:
         unit gets its original intent back, payload and all — the
         inputs it pinned are the inputs the retry must use)."""
         self._check_open()
+        self._log.refresh()
         if unit in self._commits:
             raise IngestError(f"unit {unit} already committed")
         existing = self._intents.get(unit)
         if existing is not None:
             return existing
-        record = self._append(REC_INTENT, unit, payload)
-        self._intents[unit] = record
-        return record
+        return self._append(REC_INTENT, unit, payload)
 
     def commit(self, unit: str, payload: Optional[Dict] = None,
                owner: Optional[str] = None,
@@ -193,23 +133,18 @@ class IngestLedger:
         redelivered.
         """
         self._check_open()
+        self._log.refresh()
         if unit not in self._intents:
             raise IngestError(f"unit {unit} has no intent to commit")
         existing = self._commits.get(unit)
         if existing is not None:
             return existing
-        if owner is not None:
-            lease = self.lease_of(unit)
-            if (lease is None or lease.owner != owner
-                    or (epoch is not None and lease.epoch != epoch)
-                    or lease.expired(self.clock.now())):
-                self.fenced_commits += 1
-                raise LeaseExpired(
-                    f"commit of {unit} fenced: {owner} no longer holds a "
-                    f"live lease")
-        record = self._append(REC_COMMIT, unit, payload)
-        self._commits[unit] = record
-        return record
+        if owner is not None and not self.leases.holds(unit, owner, epoch):
+            self.fenced_commits += 1
+            raise LeaseExpired(
+                f"commit of {unit} fenced: {owner} no longer holds a "
+                f"live lease")
+        return self._append(REC_COMMIT, unit, payload)
 
     # -------------------------------------------------------------- queries
     def state(self, unit: str) -> str:
@@ -223,20 +158,11 @@ class IngestLedger:
     def intent_of(self, unit: str) -> Optional[LedgerRecord]:
         return self._intents.get(unit)
 
-    def commit_of(self, unit: str) -> Optional[LedgerRecord]:
-        return self._commits.get(unit)
-
     def pending_units(self) -> List[str]:
         """Units with an intent but no commit, in intent-seq order —
         the redelivery queue after a crash."""
         self._check_open()
-        return [r.unit for r in self._records
-                if r.type == REC_INTENT and r.unit not in self._commits]
-
-    def committed_records(self) -> List[LedgerRecord]:
-        """Commit records in seq order — the state-replay stream."""
-        self._check_open()
-        return [r for r in self._records if r.type == REC_COMMIT]
+        return list(self._pending)
 
     def records(self) -> List[LedgerRecord]:
         """All records in seq order (intents and commits interleaved) —
@@ -244,133 +170,18 @@ class IngestLedger:
         self._check_open()
         return list(self._records)
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     @property
     def max_seq(self) -> int:
-        return self._next_seq - 1
+        return self._log.seq
 
-    # --------------------------------------------------------------- leases
-    def _lease_path(self, unit: str) -> str:
-        return f"{self.leases_root}/{_lease_name(unit)}.json"
-
-    def lease_of(self, unit: str) -> Optional[Lease]:
-        path = self._lease_path(unit)
-        if not self.dfs.exists(path):
-            return None
-        return Lease.from_json(self.dfs.read_text(path))
-
-    def acquire_lease(self, unit: str, owner: str,
-                      ttl_s: Optional[float] = None) -> Optional[Lease]:
-        """Take (or re-take) the lease on ``unit`` for ``owner``.
-
-        Returns ``None`` when a *different* owner holds a live lease —
-        the unit is busy. Re-acquisition by the same owner, or takeover
-        of an expired lease, succeeds with the epoch bumped, fencing
-        off any straggler still working under the old epoch.
-        """
-        self._check_open()
-        now = self.clock.now()
-        existing = self.lease_of(unit)
-        if (existing is not None and existing.owner != owner
-                and not existing.expired(now)):
-            return None
-        epoch = (existing.epoch + 1) if existing is not None else 1
-        lease = Lease(unit=unit, owner=owner, epoch=epoch,
-                      expires_at=now + (ttl_s or self.lease_ttl_s))
-        self.dfs.write_atomic_text(self._lease_path(unit),
-                                   lease.to_json() + "\n")
-        return lease
-
-    def heartbeat(self, lease: Lease,
-                  ttl_s: Optional[float] = None) -> Lease:
-        """Extend a held lease; raises :class:`LeaseExpired` when the
-        lease on storage is no longer this owner's at this epoch (it
-        lapsed and was reclaimed) or has already expired."""
-        self._check_open()
-        now = self.clock.now()
-        current = self.lease_of(lease.unit)
-        if (current is None or current.owner != lease.owner
-                or current.epoch != lease.epoch or current.expired(now)):
-            raise LeaseExpired(
-                f"lease on {lease.unit} lost by {lease.owner} "
-                f"(epoch {lease.epoch})")
-        renewed = Lease(unit=lease.unit, owner=lease.owner,
-                        epoch=lease.epoch,
-                        expires_at=now + (ttl_s or self.lease_ttl_s))
-        self.dfs.write_atomic_text(self._lease_path(lease.unit),
-                                   renewed.to_json() + "\n")
-        return renewed
-
-    def release(self, lease: Lease) -> bool:
-        """Drop a held lease (graceful completion). A lease someone
-        else reclaimed is left alone; returns whether ours was removed.
-        """
-        self._check_open()
-        current = self.lease_of(lease.unit)
-        if (current is None or current.owner != lease.owner
-                or current.epoch != lease.epoch):
-            return False
-        self.dfs.delete(self._lease_path(lease.unit))
-        return True
-
-    def expire_lease(self, unit: str) -> None:
-        """Force the lease on ``unit`` to lapse *now* (chaos injection:
-        the owner's heartbeats stopped arriving)."""
-        self._check_open()
-        current = self.lease_of(unit)
-        if current is None:
-            return
-        lapsed = Lease(unit=current.unit, owner=current.owner,
-                       epoch=current.epoch,
-                       expires_at=self.clock.now())
-        self.dfs.write_atomic_text(self._lease_path(unit),
-                                   lapsed.to_json() + "\n")
-
-    def live_leases(self) -> List[Lease]:
-        self._check_open()
-        now = self.clock.now()
-        return [l for l in self._all_leases() if not l.expired(now)]
-
-    def expired_leases(self) -> List[Lease]:
-        self._check_open()
-        now = self.clock.now()
-        return [l for l in self._all_leases() if l.expired(now)]
-
-    def _all_leases(self) -> List[Lease]:
-        leases = []
-        for path in self.dfs.listdir(self.leases_root):
-            if path.endswith(".json"):
-                leases.append(Lease.from_json(self.dfs.read_text(path)))
-        return leases
-
+    # ------------------------------------------------------------ supervision
     def reclaim_expired(self) -> List[str]:
-        """Supervisor sweep: units whose lease has lapsed and whose work
-        is uncommitted — the redelivery candidates.
-
-        The expired lease *file* deliberately stays: its epoch is the
-        fencing floor, and the next :meth:`acquire_lease` takes over
-        with a bumped epoch. Deleting it here would reset the epoch to 1
-        and let a straggler from the dead owner slip a stale commit
-        past the fence.
-        """
+        """Uncommitted units whose lease lapsed: redeliver them."""
         self._check_open()
-        return sorted({l.unit for l in self.expired_leases()
-                       if l.unit not in self._commits})
+        return self.leases.reclaim(self._commits)
 
     def gc_leases(self) -> int:
-        """Drop lease files of already-committed units.
-
-        Their fencing duty is over — a re-commit of a committed unit
-        returns the existing record before any lease check — so the
-        files are garbage (typically left by a crash between commit and
-        release). Returns how many were removed.
-        """
+        """Drop the leases of committed units (a re-commit returns the
+        existing record before any lease check); returns how many."""
         self._check_open()
-        removed = 0
-        for lease in self._all_leases():
-            if lease.unit in self._commits:
-                self.dfs.delete(self._lease_path(lease.unit))
-                removed += 1
-        return removed
+        return self.leases.gc(self._commits)

@@ -161,7 +161,7 @@ class ContinuousScheduler:
         self.derived = DerivedMaintainer(
             self.sc, dfs, self.investments, self.follow_edges,
             root=f"{self.root}/derived")
-        # a crash between a delta write and its manifest flip leaves an
+        # a crash between a delta write and its log append leaves an
         # unreferenced delta; reclaim them before planning anything
         for dataset in self._all_datasets():
             self.stats.vacuumed_files += len(dataset.vacuum())
@@ -275,8 +275,8 @@ class ContinuousScheduler:
             key = f"{unit}@hb#e{lease.epoch}n{self._hb_serial}"
             spec = self.faults.ingest_fault_at(key)
             if spec is not None and spec.kind == FAULT_LEASE_EXPIRY:
-                self.ledger.expire_lease(unit)
-        return self.ledger.heartbeat(lease)
+                self.ledger.leases.expire(unit)
+        return self.ledger.leases.heartbeat(lease)
 
     # -------------------------------------------------------------- planning
     def _day_complete(self, day: int) -> bool:
@@ -360,7 +360,7 @@ class ContinuousScheduler:
         self.stats.watchdog_reclaims += len(reclaimable)
         self.ledger.gc_leases()
         for unit in self.ledger.pending_units():
-            lease = self.ledger.lease_of(unit)
+            lease = self.ledger.leases.lease_of(unit)
             attempts = lease.epoch if lease is not None else 0
             if attempts > self.max_unit_attempts:
                 raise IngestError(
@@ -372,8 +372,8 @@ class ContinuousScheduler:
 
         Returns True when the unit (now or previously) committed.
         """
-        prior = self.ledger.lease_of(unit)
-        lease = self.ledger.acquire_lease(unit, self.owner)
+        prior = self.ledger.leases.lease_of(unit)
+        lease = self.ledger.leases.acquire(unit, self.owner)
         if lease is None:
             self.stats.leases_blocked += 1
             return False
@@ -396,7 +396,7 @@ class ContinuousScheduler:
             self._absorb_commit(unit, kind, result)
             self.stats.units_committed += 1
             self._crash_point(unit, "post-commit", lease.epoch)
-            self.ledger.release(lease)
+            self.ledger.leases.release(lease)
             return True
         except LeaseExpired:
             # our lease lapsed (or was fenced) mid-unit: abandon; the

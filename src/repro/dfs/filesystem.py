@@ -322,6 +322,13 @@ class MiniDfs:
     def exists(self, path: str) -> bool:
         return _normalize(path) in self._files
 
+    def generation(self, path: str) -> Optional[int]:
+        """The id of a file's first block (``None``: no file). Block ids
+        are never reused, so an unchanged generation means unchanged
+        bytes — a freshness check that reads nothing."""
+        status = self._files.get(_normalize(path))
+        return None if status is None else status.blocks[0].block_id
+
     def stat(self, path: str) -> FileStatus:
         path = _normalize(path)
         status = self._files.get(path)
@@ -373,19 +380,24 @@ class MiniDfs:
         self._files[dst] = status
         insort(self._paths, dst)
 
-    def write_atomic(self, path: str, data: bytes) -> FileStatus:
+    def write_atomic(self, path: str, data: bytes,
+                     overwrite: bool = True) -> FileStatus:
         """Commit ``data`` to ``path`` via hidden temp file + rename.
 
         The temp name starts with a dot so partially written files are
         invisible to :meth:`glob_parts`; a crash between the two steps
-        leaves the previous version of ``path`` intact.
+        leaves the previous version of ``path`` intact. With
+        ``overwrite=False`` an existing ``path`` is refused (create-if-
+        absent: the publishing step of an append-only log).
         """
         path = _normalize(path)
+        if not overwrite and path in self._files:
+            raise StorageError(f"destination exists: {path}")
         parent, base = posixpath.split(path)
         tmp = posixpath.join(parent, f".{base}.tmp-{self._next_tmp_id}")
         self._next_tmp_id += 1
         self.create(tmp, data)
-        self.rename(tmp, path, overwrite=True)
+        self.rename(tmp, path, overwrite=overwrite)
         return self._files[path]
 
     def write_atomic_text(self, path: str, text: str) -> FileStatus:

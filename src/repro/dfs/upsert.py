@@ -1,24 +1,29 @@
-"""Keyed upsert datasets: base + delta parts, manifest-last commit.
+"""Keyed upsert datasets: base + delta parts, published by a log append.
 
 The run-to-completion pipeline appends records and never looks back; a
 continuous crawl re-delivers work after crashes and re-observes the same
 entities every day, so its landing zone must absorb duplicates instead
 of accumulating them. An :class:`UpsertDataset` is a keyed dataset laid
 out as *base* parts plus an ordered chain of *delta* parts, tied
-together by a single ``MANIFEST.json``:
+together by an :class:`~repro.durable.EventLog` under ``<root>/_log``:
 
 * every write lands as a new immutable delta file (``delta-NNNNNN``),
-  published by rewriting the manifest **last** via
-  :meth:`~repro.dfs.filesystem.MiniDfs.write_atomic` — a crash before
-  the manifest flip leaves an unreferenced file that :meth:`vacuum`
-  reclaims, never a torn or half-visible dataset;
+  published by appending one small ``{seq, file, unit, records}``
+  record to the log **last** — a crash before the append leaves an
+  unreferenced file that :meth:`vacuum` reclaims, never a torn or
+  half-visible dataset;
 * each delta is tagged with the *work unit* that produced it; applying
-  the same unit twice is a no-op (the manifest remembers), which is what
+  the same unit twice is a no-op (the log remembers), which is what
   makes redelivery after a crash **exactly-once in effect**;
 * the merged view replays base then deltas in sequence order, newest
   record per key winning — readers see one record per key, always;
-* :meth:`compact` folds base + deltas into a fresh base (manifest-last
-  again) so the delta chain stays short without ever blocking writers.
+* :meth:`compact` folds base + deltas into a fresh base and publishes
+  it as the log's checkpoint (which also carries the key spec and every
+  unit ever applied), so the delta chain stays short without ever
+  blocking writers.
+
+Base parts, live deltas, applied units and the watermark are the log's
+fold: landing costs one delta write plus one append, whatever came before.
 
 Keys may be a single field name or a tuple of field names (composite
 keys for edge datasets).
@@ -26,17 +31,17 @@ keys for edge datasets).
 
 from __future__ import annotations
 
-import json
 import posixpath
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.dfs.filesystem import MiniDfs
 from repro.dfs.jsonlines import decode_lines, encode_record
+from repro.durable import EventLog
 from repro.util.errors import StorageError
 
-MANIFEST_NAME = "MANIFEST.json"
+LOG_DIR = "_log"
 
 
 @dataclass
@@ -61,26 +66,26 @@ class CompactionStats:
 
 
 @dataclass
-class _KeyIndex:
-    """The keys of the merged view and the manifest layout they reflect.
+class _Layout:
+    """The fold of a dataset's log."""
 
-    Private to one :class:`UpsertDataset` handle and never trusted on
-    its own: every use re-validates ``base``/``deltas`` against a
-    freshly loaded manifest (see :meth:`UpsertDataset._synced_index`).
-    """
-
-    base: Tuple[str, ...]
-    #: ``(seq, file, unit, records)`` of each delta folded so far
+    base: Tuple[str, ...] = ()
+    #: ``(seq, file, unit, records)`` of each live delta, in seq order
     deltas: List[Tuple[int, str, str, int]] = field(default_factory=list)
+    #: unit id → delta seq, for every unit ever landed
+    applied: Dict[str, int] = field(default_factory=dict)
+    compactions: int = 0
+
+
+@dataclass
+class _KeyIndex:
+    """The merged view's keys over one layout's base and first ``folded``
+    deltas. A layout object only grows by appends (a checkpoint makes a
+    new one), so same object means the index is a prefix of the log."""
+
+    layout: _Layout
+    folded: int = 0
     keys: Set[Tuple] = field(default_factory=set)
-
-
-def _delta_layout(delta: Dict) -> Tuple[int, str, str, int]:
-    return (delta["seq"], delta["file"], delta["unit"], delta["records"])
-
-
-def _sorted_deltas(manifest: Dict) -> List[Dict]:
-    return sorted(manifest["deltas"], key=lambda d: d["seq"])
 
 
 def record_key(record: Dict, key_fields: Tuple[str, ...]) -> Tuple:
@@ -107,72 +112,72 @@ class UpsertDataset:
         if records_per_part < 1:
             raise StorageError("records_per_part must be >= 1")
         self.records_per_part = records_per_part
+        self._layout = _Layout()
         self._index: Optional[_KeyIndex] = None
+        self._log = EventLog(dfs, f"{self.root}/{LOG_DIR}",
+                             reset=self._restart, fold=self._fold)
 
-    # ------------------------------------------------------------- manifest
-    @property
-    def manifest_path(self) -> str:
-        return f"{self.root}/{MANIFEST_NAME}"
-
-    def exists(self) -> bool:
-        return self.dfs.exists(self.manifest_path)
-
-    def _empty_manifest(self) -> Dict:
-        return {"key": list(self.key_fields), "version": 0,
-                "next_delta": 1, "base": [], "deltas": [],
-                "applied_units": {}}
-
-    def _load_manifest(self) -> Dict:
-        if not self.exists():
-            return self._empty_manifest()
-        manifest = json.loads(self.dfs.read_text(self.manifest_path))
-        if tuple(manifest["key"]) != self.key_fields:
+    # ------------------------------------------------------------------ log
+    def _restart(self, state: Optional[Dict]) -> None:
+        if state is not None and tuple(state["key"]) != self.key_fields:
             raise StorageError(
-                f"{self.root}: manifest key {manifest['key']} does not "
-                f"match dataset key {list(self.key_fields)}")
-        return manifest
+                f"{self.root}: dataset key {state['key']} does not match "
+                f"handle key {list(self.key_fields)}")
+        self._layout = _Layout() if state is None else _Layout(
+            base=tuple(state["base"]), applied=dict(state["applied_units"]),
+            compactions=state["compactions"])
 
-    def _store_manifest(self, manifest: Dict) -> None:
-        manifest["version"] += 1
-        self.dfs.write_atomic_text(
-            self.manifest_path, json.dumps(manifest, sort_keys=True))
+    def _fold(self, record: Dict) -> None:
+        self._layout.deltas.append((record["seq"], record["file"],
+                                    record["unit"], record["records"]))
+        self._layout.applied[record["unit"]] = record["seq"]
+
+    def _checkpoint(self, base: List[str], compactions: int) -> None:
+        self._log.checkpoint({"key": list(self.key_fields), "base": base,
+                              "applied_units": self._layout.applied,
+                              "compactions": compactions})
+
+    def _synced(self) -> _Layout:
+        self._log.refresh()
+        return self._layout
+
+    def _write_part(self, path: str, records: List[Dict]) -> None:
+        lines = [encode_record(r) for r in records]
+        self.dfs.write_atomic_text(path, "\n".join(lines) + "\n"
+                                   if lines else "")
 
     # --------------------------------------------------------------- writes
     def apply(self, unit_id: str, records: Iterable[Dict],
               on_delta_written=None) -> ApplyResult:
         """Land one work unit's records; exactly-once by ``unit_id``.
 
-        The delta file is written first, the manifest flip publishes it.
+        The delta file is written first, the log append publishes it.
         ``on_delta_written`` is a chaos hook fired between the two steps
         (the ``mid-land`` crash point of the ingest drill). A re-applied
-        unit returns ``applied=False`` without touching storage.
+        unit returns ``applied=False`` without touching storage. Deltas
+        are named by seq, so a retry reuses the name: one writer per dataset.
         """
-        manifest = self._load_manifest()
-        if unit_id in manifest["applied_units"]:
+        layout = self._synced()
+        if unit_id in layout.applied:
             return ApplyResult(unit_id=unit_id, applied=False,
-                               delta_seq=manifest["applied_units"][unit_id])
+                               delta_seq=layout.applied[unit_id])
+        if not self._log.has_checkpoint:
+            self._checkpoint([], 0)   # creating it: the key goes on disk
         records = list(records)
-        index = self._synced_index(manifest)
+        index = self._synced_index(self._layout)
         new_keys = ({record_key(r, self.key_fields) for r in records}
                     - index.keys)
-        seq = manifest["next_delta"]
+        seq = self._log.seq + 1
         delta_path = f"{self.root}/delta-{seq:06d}.jsonl"
-        lines = [encode_record(r) for r in records]
-        self.dfs.write_atomic_text(delta_path, "\n".join(lines) + "\n"
-                                   if lines else "")
+        self._write_part(delta_path, records)
         if on_delta_written is not None:
             on_delta_written()
-        delta = {"seq": seq, "file": delta_path, "unit": unit_id,
-                 "records": len(records)}
-        manifest["deltas"].append(delta)
-        manifest["applied_units"][unit_id] = seq
-        manifest["next_delta"] = seq + 1
-        self._store_manifest(manifest)
-        # only now is the delta part of the view: a crash above leaves
-        # the index at the old manifest, and what was just written is
-        # never read back
+        self._log.append({"file": delta_path, "unit": unit_id,
+                          "records": len(records)})
+        # only now is the delta in the view: a crash above leaves the
+        # index at the old log; what was just written is never read back
         index.keys.update(new_keys)
-        index.deltas.append(_delta_layout(delta))
+        index.folded += 1
         return ApplyResult(unit_id=unit_id, applied=True,
                            records=len(records), delta_seq=seq,
                            new_keys=len(new_keys))
@@ -185,40 +190,29 @@ class UpsertDataset:
         return [record_key(record, self.key_fields)
                 for record in self._read_lines(path)]
 
-    def _synced_index(self, manifest: Dict) -> _KeyIndex:
-        """The key index brought level with ``manifest``.
-
-        When the layout the index reflects is a prefix of the
-        manifest's (same base, same leading deltas) only the deltas
-        past it are read; anything else — a compaction, a rewritten
-        chain, a fresh handle — rebuilds from every live file. Each
-        file's keys and its layout entry go in together, so a read that
-        fails leaves the index behind the manifest, never ahead of it.
-        """
-        base = tuple(manifest["base"])
-        deltas = _sorted_deltas(manifest)
+    def _synced_index(self, layout: _Layout) -> _KeyIndex:
+        """The key index brought level with ``layout``: the deltas past
+        it, after a rebuild from the base parts when the layout is new.
+        A file's keys and its count go in together, so a failed read
+        leaves the index behind the log, never ahead of it."""
         index = self._index
-        if (index is None or index.base != base
-                or index.deltas != [_delta_layout(d)
-                                    for d in deltas[:len(index.deltas)]]):
-            index = _KeyIndex(base)
-            for path in base:
-                index.keys.update(self._file_keys(path))
-            self._index = index
-        for delta in deltas[len(index.deltas):]:
-            index.keys.update(self._file_keys(delta["file"]))
-            index.deltas.append(_delta_layout(delta))
+        if index is None or index.layout is not layout:
+            keys: Set[Tuple] = set()
+            for path in layout.base:
+                keys.update(self._file_keys(path))
+            index = self._index = _KeyIndex(layout, keys=keys)
+        for _, path, _, _ in layout.deltas[index.folded:]:
+            index.keys.update(self._file_keys(path))
+            index.folded += 1
         return index
 
-    def _replay(self, manifest: Dict) -> Iterator[Dict]:
-        """Every raw record, base then deltas in sequence order."""
-        for path in self._live_files(manifest):
-            yield from self._read_lines(path)
-
-    def _merged(self, manifest: Optional[Dict] = None) -> Dict[Tuple, Dict]:
-        manifest = manifest or self._load_manifest()
+    def _merged(self, files: Optional[List[str]] = None,
+                ) -> Dict[Tuple, Dict]:
+        """The merged view of ``files`` (base then deltas, in order;
+        by default the live ones)."""
+        files = self.live_files() if files is None else files
         return {record_key(record, self.key_fields): record
-                for record in self._replay(manifest)}
+                for path in files for record in self._read_lines(path)}
 
     def read(self) -> List[Dict]:
         """The merged view: exactly one record per key, key-sorted."""
@@ -233,27 +227,28 @@ class UpsertDataset:
         return "\n".join(map(encode_record, self.read())).encode("utf-8")
 
     def key_count(self) -> int:
-        return len(self._synced_index(self._load_manifest()).keys)
+        return len(self._synced_index(self._synced()).keys)
 
     def unit_records(self, unit_id: str) -> List[Dict]:
         """The records of exactly one applied unit's delta file; empty
         when the unit never landed or a compaction folded it away."""
         # newest first: callers ask about the unit that just landed
-        for delta in reversed(self._load_manifest()["deltas"]):
-            if delta["unit"] == unit_id:
-                return self._read_lines(delta["file"])
+        for _, path, unit, _ in reversed(self._synced().deltas):
+            if unit == unit_id:
+                return self._read_lines(path)
         return []
 
     def applied_units(self) -> Dict[str, int]:
         """unit id → delta seq for every unit ever landed (compaction
         preserves this map: exactly-once must survive a compaction that
         races a redelivery)."""
-        return dict(self._load_manifest()["applied_units"])
+        return dict(self._synced().applied)
 
     def max_delta_seq(self) -> int:
         """Highest delta sequence ever assigned (the recompute
         watermark); compaction does not rewind it."""
-        return self._load_manifest()["next_delta"] - 1
+        self._synced()
+        return self._log.seq
 
     def delta_files_since(self, watermark: int) -> List[Tuple[int, str]]:
         """(seq, path) of live delta files with ``seq > watermark``.
@@ -261,88 +256,64 @@ class UpsertDataset:
         Deltas folded away by a compaction no longer appear; callers
         that might race a compaction should read before compacting.
         """
-        manifest = self._load_manifest()
-        return sorted((d["seq"], d["file"]) for d in manifest["deltas"]
-                      if d["seq"] > watermark)
-
-    @staticmethod
-    def _live_files(manifest: Dict) -> List[str]:
-        return list(manifest["base"]) + [d["file"]
-                                         for d in _sorted_deltas(manifest)]
+        return [(seq, path) for seq, path, _, _ in self._synced().deltas
+                if seq > watermark]
 
     def live_files(self) -> List[str]:
-        return self._live_files(self._load_manifest())
+        layout = self._synced()
+        return list(layout.base) + [path for _, path, _, _ in layout.deltas]
 
     def duplicate_key_groups(self) -> int:
         """Keys appearing in more than one live file — the quantity the
         chaos drill requires to stay small (upserts are legitimate
         overrides, but a *redelivered* unit must never add one)."""
-        seen: Dict[Tuple, int] = {}
-        for path in self.live_files():
-            for record in self._read_lines(path):
-                k = record_key(record, self.key_fields)
-                seen[k] = seen.get(k, 0) + 1
+        seen = Counter(k for path in self.live_files()
+                       for k in self._file_keys(path))
         return sum(1 for count in seen.values() if count > 1)
 
     # ----------------------------------------------------------- maintenance
     def compact(self) -> CompactionStats:
-        """Fold base + deltas into a fresh base; manifest-last commit.
+        """Fold base + deltas into a fresh base; checkpoint-last commit.
 
-        The old generation's files are NOT deleted here: a reader that
-        loaded the pre-compaction manifest may still be mid-scan over
-        them, and snapshot isolation means its view must stay readable
-        until it lets go. Retired files become unreferenced the instant
-        the new manifest is live, and the next :meth:`vacuum` pass
-        reclaims them (vacuum only ever touches files the *current*
-        manifest doesn't own, so it can never collect the new base). A
-        crash anywhere leaves either the old dataset (manifest not yet
-        flipped) or the new one plus garbage vacuum sweeps — never a
-        broken view.
+        The old files are NOT deleted: a reader that listed them may be
+        mid-scan (snapshot isolation). They are unreferenced once the
+        checkpoint is live, and :meth:`vacuum` — which only touches files
+        the *current* layout doesn't own — reclaims them. A crash leaves
+        the old dataset or the new one plus garbage, never a broken view.
         """
-        manifest = self._load_manifest()
-        stats = CompactionStats(deltas_folded=len(manifest["deltas"]))
+        layout = self._synced()
+        old_files = self.live_files()
+        stats = CompactionStats(deltas_folded=len(layout.deltas))
         view: Dict[Tuple, Dict] = {}
-        for record in self._replay(manifest):
-            view[record_key(record, self.key_fields)] = record
-            stats.records_before += 1
+        for path in old_files:
+            for record in self._read_lines(path):
+                view[record_key(record, self.key_fields)] = record
+                stats.records_before += 1
         records = [view[k] for k in sorted(view, key=repr)]
         stats.records_after = len(records)
-        old_files = self._live_files(manifest)
-        generation = manifest["version"] + 1
+        generation = layout.compactions + 1
         new_base: List[str] = []
         for i in range(0, max(1, len(records)), self.records_per_part):
-            chunk = records[i:i + self.records_per_part]
             path = f"{self.root}/base-{generation:04d}-{len(new_base):05d}.jsonl"
-            lines = [encode_record(r) for r in chunk]
-            self.dfs.write_atomic_text(path, "\n".join(lines) + "\n"
-                                       if lines else "")
+            self._write_part(path, records[i:i + self.records_per_part])
             new_base.append(path)
-        manifest["base"] = new_base
-        manifest["deltas"] = []
-        self._store_manifest(manifest)
+        self._checkpoint(new_base, generation)
+        # the keys did not change; only the files holding them did
+        self._index = _KeyIndex(self._layout, keys=set(view))
         stats.files_retired = sum(1 for path in old_files
                                   if self.dfs.exists(path))
         return stats
 
     def vacuum(self) -> List[str]:
-        """Delete data files under the root the manifest doesn't own.
-
-        These are the leftovers of crashes between a delta/base write
-        and its manifest flip. Hidden temp files are not ours to judge —
-        :meth:`~repro.dfs.filesystem.MiniDfs.sweep_temps` owns those.
-        Returns the reclaimed paths.
-        """
+        """Delete data files under the root the layout doesn't own —
+        leftovers of crashes between a part write and its publication —
+        and the hidden temps of crashes inside one write (the log's
+        included); return them."""
         live = set(self.live_files())
-        live.add(self.manifest_path)
-        orphans = []
-        for path in self.dfs.listdir(self.root):
-            base = posixpath.basename(path)
-            if base.startswith("."):
-                continue
-            if posixpath.dirname(path) != self.root:
-                continue
-            if path not in live:
-                orphans.append(path)
+        orphans = [path for path in self.dfs.listdir(self.root)
+                   if posixpath.dirname(path) == self.root
+                   and not posixpath.basename(path).startswith(".")
+                   and path not in live]
         for path in orphans:
             self.dfs.delete(path)
-        return orphans
+        return self.dfs.sweep_temps(self.root) + orphans

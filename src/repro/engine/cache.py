@@ -40,10 +40,11 @@ from repro.util.errors import NotFoundError, StorageError
 STORAGE_MEMORY = "memory"
 STORAGE_DFS = "dfs"
 
-#: a spill part that is gone, unreadable or corrupt: the DFS lost it, the
-#: compressed stream is damaged, or the row codec rejects what it holds
-SPILL_READ_ERRORS = (NotFoundError, StorageError, zlib.error, ValueError,
-                     EOFError, struct.error, pickle.UnpicklingError)
+#: a spill or checkpoint part that is gone, unreadable or corrupt: the
+#: DFS lost it, the compressed stream is damaged, or the row codec or
+#: unpickler rejects what it holds; anything else is a bug and propagates
+BLOB_READ_ERRORS = (NotFoundError, StorageError, zlib.error, ValueError,
+                    EOFError, struct.error, pickle.UnpicklingError)
 
 
 class _Entry:
@@ -181,7 +182,7 @@ class CacheManager:
             return [decode_rows(zlib.decompress(
                 self.dfs.read(self._part_path(rdd_id, index))))
                 for index in range(part_count)]
-        except SPILL_READ_ERRORS:
+        except BLOB_READ_ERRORS:
             self.spill_read_failures += 1
             return None  # lost/corrupt spill → recompute from lineage
 

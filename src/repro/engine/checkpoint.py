@@ -25,7 +25,10 @@ from __future__ import annotations
 import json
 import pickle
 import zlib
+from collections import Counter
 from typing import Any, List, Optional
+
+from repro.engine.cache import BLOB_READ_ERRORS
 
 #: manifest schema version, bumped on layout changes
 _VERSION = 1
@@ -51,6 +54,8 @@ class CheckpointManager:
         #: checkpoints served / written through this manager (for tests)
         self.hits = 0
         self.writes = 0
+        #: checkpoints found unreadable, by the exception's dotted name
+        self.unreadable: Counter = Counter()
 
     # --------------------------------------------------------------- layout
     def _dir(self, key: int) -> str:
@@ -84,7 +89,8 @@ class CheckpointManager:
             try:
                 payload = self.dfs.read(self._part_path(key, index))
                 partitions.append(pickle.loads(zlib.decompress(payload)))
-            except Exception:
+            except BLOB_READ_ERRORS as error:
+                self._count_unreadable(error)
                 return None  # torn/corrupt: recompute from lineage
         self.hits += 1
         return partitions
@@ -101,13 +107,18 @@ class CheckpointManager:
             self.dfs.delete(path)
 
     # ------------------------------------------------------------- internal
+    def _count_unreadable(self, error: Exception) -> None:
+        cause = type(error)
+        self.unreadable[f"{cause.__module__}.{cause.__qualname__}"] += 1
+
     def _manifest(self, key: int) -> Optional[dict]:
         path = self._meta_path(key)
         if not self.dfs.exists(path):
             return None
         try:
             manifest = json.loads(self.dfs.read_text(path))
-        except Exception:
+        except BLOB_READ_ERRORS as error:
+            self._count_unreadable(error)
             return None
         if manifest.get("version") != _VERSION:
             return None

@@ -163,7 +163,7 @@ class AlertEvaluator:
     The scheduler calls :meth:`on_derived_commit` both on a fresh commit
     and during ledger replay after a crash; both paths re-read the
     unit's own delta files (pinned by the unit id in the derived
-    datasets' manifests) and emit the same notification ids, which the
+    datasets' logs) and emit the same notification ids, which the
     outbox absorbs idempotently.
     """
 
@@ -270,15 +270,10 @@ def rescan_oracle(registry: SubscriptionRegistry, dataset: ServeDataset,
                      for s in subs if s.kind == KIND_NEIGHBORHOOD_FOLLOW}
 
     def units_of(ds, suffix: str) -> List[Tuple[str, str]]:
-        manifest_units = []
-        for unit_id, seq in ds.applied_units().items():
-            if not unit_id.endswith(suffix):
-                continue
-            for delta_seq, path in ds.delta_files_since(seq - 1):
-                if delta_seq == seq:
-                    manifest_units.append(
-                        (unit_id[:-len(suffix)], path))
-        return manifest_units
+        live = dict(ds.delta_files_since(0))
+        return [(unit_id[:-len(suffix)], live[seq])
+                for unit_id, seq in ds.applied_units().items()
+                if unit_id.endswith(suffix) and seq in live]
 
     for unit, path in units_of(maintainer.investment_edges,
                                ":investments"):

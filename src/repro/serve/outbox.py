@@ -10,11 +10,10 @@ survive everything between "matched" and "observed by the subscriber":
   notification id turns the redelivery into a no-op. At-least-once on
   the channel, exactly-once in observable effect;
 * **per-subscriber leases with fencing epochs** — delivery attempts run
-  under the same lease machinery as ingest units
-  (:class:`~repro.crawl.ledger.IngestLedger`, one "unit" per
-  subscriber): a delivery worker whose lease lapsed mid-attempt is
-  fenced off the delivered marker and the notification is redelivered
-  under a higher epoch;
+  under the same :class:`~repro.durable.LeaseTable` as ingest units (one
+  "unit" per subscriber): a delivery worker whose lease lapsed
+  mid-attempt is fenced off the delivered marker and the notification
+  is redelivered under a higher epoch;
 * **deterministic jittered backoff** — retry delays derive from
   ``(seed, notification, attempt)``, never wall clock, so a same-seed
   chaos run replays the same delivery log byte for byte;
@@ -40,14 +39,14 @@ import posixpath
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.crawl.ledger import IngestLedger
 from repro.dfs.filesystem import MiniDfs
+from repro.durable import LeaseTable, read_doc, write_doc
 from repro.net.faults import (FAULT_DROP_ACK, FAULT_DUP_DELIVER,
                               FAULT_KILL_SUBSCRIBER)
 from repro.serve.alerting import Notification
 from repro.util.clock import Clock
 from repro.util.errors import ConfigError, LeaseExpired
-from repro.util.rng import derive_seed
+from repro.util.rng import jittered_backoff
 
 #: delivery-log outcomes
 OUTCOME_DELIVERED = "delivered"
@@ -145,11 +144,11 @@ class DeliveryOutbox:
         #: (sim_time, subscriber, notification id, outcome, attempt) —
         #: byte-identical across same-seed reruns
         self.delivery_log: List[Tuple] = []
-        #: per-subscriber leases ride the ingest ledger's lease files
-        #: (fencing epochs included); records stay unused
-        self.leases = IngestLedger(dfs, clock,
-                                   root=f"{self.root}/leases",
-                                   lease_ttl_s=lease_ttl_s).open()
+        #: one lease per subscriber, fencing epochs included
+        self.leases = LeaseTable(dfs, clock, f"{self.root}/leases",
+                                 lease_ttl_s)
+        # temps a crash left between a write_doc's write and its rename
+        dfs.sweep_temps(self.root)
 
     # ---------------------------------------------------------------- layout
     def _pending_path(self, nid: str) -> str:
@@ -179,35 +178,28 @@ class DeliveryOutbox:
                 or self.dfs.exists(self._quarantine_path(sid, nid))):
             self.stats.duplicates_suppressed += 1
             return False
-        entry = {"notification": notification.as_dict(),
-                 "attempts": 0, "not_before": 0.0}
-        self.dfs.write_atomic_text(self._pending_path(nid),
-                                   json.dumps(entry, sort_keys=True))
+        write_doc(self.dfs, self._pending_path(nid),
+                  {"notification": notification.as_dict(),
+                   "attempts": 0, "not_before": 0.0})
         self.stats.enqueued += 1
         return True
 
     # ------------------------------------------------------------ inspection
     def _load_pending(self, nid: str) -> Dict:
-        return json.loads(self.dfs.read_text(self._pending_path(nid)))
+        return read_doc(self.dfs, self._pending_path(nid))
+
+    def _ids(self, subdir: str) -> List[str]:
+        names = (posixpath.basename(path)
+                 for path in self.dfs.listdir(f"{self.root}/{subdir}"))
+        return sorted(n[:-len(".json")] for n in names
+                      if not n.startswith("."))
 
     def pending(self) -> List[str]:
         """Pending notification ids (sorted; includes deferred ones)."""
-        out = []
-        for path in self.dfs.listdir(f"{self.root}/pending"):
-            base = posixpath.basename(path)
-            if base.startswith("."):
-                continue
-            out.append(base[:-len(".json")])
-        return sorted(out)
+        return self._ids("pending")
 
     def delivered_ids(self) -> List[str]:
-        out = []
-        for path in self.dfs.listdir(f"{self.root}/delivered"):
-            base = posixpath.basename(path)
-            if base.startswith("."):
-                continue
-            out.append(base[:-len(".json")])
-        return sorted(out)
+        return self._ids("delivered")
 
     def quarantined(self) -> Dict[str, List[str]]:
         """Poison subscriber id → its quarantined notification ids."""
@@ -252,10 +244,9 @@ class DeliveryOutbox:
     # ---------------------------------------------------------------- policy
     def backoff_s(self, nid: str, attempt: int) -> float:
         """Deterministic jittered exponential backoff for this retry."""
-        base = self.retry_base_s * (2 ** max(0, attempt - 1))
-        jitter = (derive_seed(self.seed, f"backoff:{nid}:a{attempt}")
-                  % 100_000) / 100_000
-        return round(min(self.retry_max_s, base * (1.0 + 0.5 * jitter)), 9)
+        delay = jittered_backoff(self.retry_base_s, max(0, attempt - 1), 0.5,
+                                 self.seed, f"backoff:{nid}:a{attempt}")
+        return round(min(self.retry_max_s, delay), 9)
 
     def ticket(self, nid: str, now: Optional[float] = None,
                ) -> DeliveryTicket:
@@ -271,8 +262,7 @@ class DeliveryOutbox:
         subscriber's fault."""
         entry = self._load_pending(nid)
         entry["not_before"] = round(until, 9)
-        self.dfs.write_atomic_text(self._pending_path(nid),
-                                   json.dumps(entry, sort_keys=True))
+        write_doc(self.dfs, self._pending_path(nid), entry)
         self.stats.deferred_fair_share += 1
 
     # -------------------------------------------------------------- delivery
@@ -282,19 +272,14 @@ class DeliveryOutbox:
 
     def _quarantine_subscriber(self, sid: str) -> None:
         """Declare a subscriber poison; park its pending notifications."""
-        self.dfs.write_atomic_text(
-            self._quarantine_marker(sid),
-            json.dumps({"subscriber": sid,
-                        "at": round(self.clock.now(), 9)},
-                       sort_keys=True))
+        write_doc(self.dfs, self._quarantine_marker(sid),
+                  {"subscriber": sid, "at": round(self.clock.now(), 9)})
         self.stats.quarantined_subscribers += 1
         for nid in self.pending():
             entry = self._load_pending(nid)
             if entry["notification"]["subscriber_id"] != sid:
                 continue
-            self.dfs.write_atomic_text(
-                self._quarantine_path(sid, nid),
-                json.dumps(entry, sort_keys=True))
+            write_doc(self.dfs, self._quarantine_path(sid, nid), entry)
             self.dfs.delete(self._pending_path(nid))
             self.stats.quarantined_notifications += 1
 
@@ -302,15 +287,13 @@ class DeliveryOutbox:
               outcome: str) -> None:
         entry["attempts"] = attempt
         if attempt >= self.max_delivery_attempts:
-            self.dfs.write_atomic_text(self._pending_path(nid),
-                                       json.dumps(entry, sort_keys=True))
+            write_doc(self.dfs, self._pending_path(nid), entry)
             self._log(sid, nid, OUTCOME_QUARANTINED, attempt)
             self._quarantine_subscriber(sid)
             return
         entry["not_before"] = round(
             self.clock.now() + self.backoff_s(nid, attempt), 9)
-        self.dfs.write_atomic_text(self._pending_path(nid),
-                                   json.dumps(entry, sort_keys=True))
+        write_doc(self.dfs, self._pending_path(nid), entry)
         self._log(sid, nid, outcome, attempt)
 
     def attempt(self, nid: str) -> str:
@@ -329,7 +312,7 @@ class DeliveryOutbox:
         attempt_no = entry["attempts"] + 1
         self.stats.attempts += 1
 
-        lease = self.leases.acquire_lease(sid, self.owner)
+        lease = self.leases.acquire(sid, self.owner)
         if lease is None:
             # someone else is delivering to this subscriber; not a fault
             self._log(sid, nid, OUTCOME_FENCED, attempt_no)
@@ -375,12 +358,9 @@ class DeliveryOutbox:
             self.stats.fenced += 1
             self._log(sid, nid, OUTCOME_FENCED, attempt_no)
             return OUTCOME_FENCED
-        self.dfs.write_atomic_text(
-            self._delivered_path(nid),
-            json.dumps({"id": nid, "subscriber": sid,
-                        "attempt": attempt_no,
-                        "at": round(self.clock.now(), 9)},
-                       sort_keys=True))
+        write_doc(self.dfs, self._delivered_path(nid),
+                  {"id": nid, "subscriber": sid, "attempt": attempt_no,
+                   "at": round(self.clock.now(), 9)})
         self.dfs.delete(self._pending_path(nid))
         self.stats.delivered += 1
         self._log(sid, nid, OUTCOME_DELIVERED, attempt_no)

@@ -13,25 +13,23 @@ edge streams:
                          user ``key`` or one of the users ``key``
                          already follows (the 1-hop neighborhood).
 
-The registry is an append-only event log on the MiniDfs — one atomic
-JSON file per lifecycle event (register / pause / resume / cancel),
-numbered by a monotonic sequence recovered on :meth:`open`. Nothing
-about a subscription lives only in memory: a crashed process rebuilds
-the registry byte-identically by replaying the log, the same recovery
-discipline as the ingest ledger (:mod:`repro.crawl.ledger`). Ids are
-deterministic (``sub-000001`` in registration order), so a same-seed
-rerun mints the same ids and the downstream notification ids — keyed by
-(subscription, unit, entity) — reproduce bit-for-bit.
+The registry is an append-only :class:`~repro.durable.EventLog` — one
+record per lifecycle event (register / pause / resume / cancel), the
+kernel the ingest ledger also keeps its records in. Nothing about a
+subscription lives only in memory: a crashed process rebuilds the
+registry byte-identically by replaying the log. Ids are deterministic
+(``sub-000001`` in registration order), so a same-seed rerun mints the
+same ids and the downstream notification ids — keyed by (subscription,
+unit, entity) — reproduce bit-for-bit.
 """
 
 from __future__ import annotations
 
-import json
-import posixpath
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.dfs.filesystem import MiniDfs
+from repro.durable import EventLog
 from repro.util.errors import ConfigError
 
 #: predicate kinds a subscription can watch
@@ -79,48 +77,32 @@ class SubscriptionRegistry:
     def __init__(self, dfs: MiniDfs, root: str = "/serve/subscriptions"):
         self.dfs = dfs
         self.root = root.rstrip("/")
-        self._subs: Dict[str, Subscription] = {}
-        self._next_seq = 1
-        self._next_sub = 1
+        self._log = EventLog(dfs, f"{self.root}/events", reset=self._reset,
+                             fold=self._apply)
+        self._reset(None)
         self._opened = False
         #: bumped on every applied event; index builders use it to know
         #: when their compiled predicate index went stale
         self.version = 0
 
     # ---------------------------------------------------------------- open
-    @property
-    def events_root(self) -> str:
-        return f"{self.root}/events"
-
     def open(self) -> "SubscriptionRegistry":
         """Recover the registry by replaying the event log in order."""
         self.dfs.sweep_temps(self.root)
-        self._subs = {}
-        self._next_seq = 1
-        self._next_sub = 1
-        events = []
-        for path in self.dfs.listdir(self.events_root):
-            if not posixpath.basename(path).startswith("evt-"):
-                continue
-            events.append(json.loads(self.dfs.read_text(path)))
-        for event in sorted(events, key=lambda e: e["seq"]):
-            self._apply(event)
-            self._next_seq = event["seq"] + 1
+        self._log.refresh()
         self._opened = True
         return self
 
     def _check_open(self) -> None:
+        """Refuse an unopened registry; fold what other handles wrote."""
         if not self._opened:
             raise ConfigError("registry must be open()ed before use")
+        self._log.refresh()
 
     # -------------------------------------------------------------- events
-    def _append(self, event: Dict) -> Dict:
-        event = dict(event, seq=self._next_seq)
-        path = f"{self.events_root}/evt-{event['seq']:06d}.json"
-        self.dfs.write_atomic_text(path, json.dumps(event, sort_keys=True))
-        self._next_seq += 1
-        self._apply(event)
-        return event
+    def _reset(self, _state: Optional[Dict]) -> None:
+        self._subs: Dict[str, Subscription] = {}
+        self._next_sub = 1
 
     def _apply(self, event: Dict) -> None:
         op = event["op"]
@@ -153,9 +135,10 @@ class SubscriptionRegistry:
         if not tenant:
             raise ConfigError("tenant must be non-empty")
         sub_id = f"sub-{self._next_sub:06d}"
-        self._append({"op": _OP_REGISTER, "sub_id": sub_id,
-                      "tenant": tenant, "kind": kind, "key": int(key),
-                      "subscriber_id": subscriber_id or f"{tenant}:default"})
+        self._log.append({"op": _OP_REGISTER, "sub_id": sub_id,
+                          "tenant": tenant, "kind": kind, "key": int(key),
+                          "subscriber_id": (subscriber_id
+                                            or f"{tenant}:default")})
         return self._subs[sub_id]
 
     def _transition(self, sub_id: str, op: str, allowed: tuple) -> None:
@@ -168,7 +151,7 @@ class SubscriptionRegistry:
         if sub.state not in allowed:
             raise ConfigError(
                 f"cannot {op} {sub_id} in state {sub.state!r}")
-        self._append({"op": op, "sub_id": sub_id})
+        self._log.append({"op": op, "sub_id": sub_id})
 
     def pause(self, sub_id: str) -> None:
         self._transition(sub_id, _OP_PAUSE, (STATE_ACTIVE,))

@@ -11,7 +11,7 @@ from repro.util.errors import (
     EngineError,
 )
 from repro.util.clock import Clock, SimClock, WallClock
-from repro.util.rng import RngStream, derive_seed
+from repro.util.rng import RngStream, derive_seed, jittered_backoff
 from repro.util.timer import Timer
 from repro.util.stats import (
     mean,
@@ -35,6 +35,7 @@ __all__ = [
     "WallClock",
     "RngStream",
     "derive_seed",
+    "jittered_backoff",
     "Timer",
     "mean",
     "median",

@@ -25,6 +25,18 @@ def derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big") & _MASK64
 
 
+def jittered_backoff(base_s: float, step: int, jitter: float, seed: int,
+                     label: str) -> float:
+    """``base_s * 2**step`` stretched by up to ``jitter`` of itself, by
+    a fraction that is a pure function of ``(seed, label)``: a seed
+    replays the exact schedule, distinct labels decorrelate retriers."""
+    delay = base_s * (2 ** step)
+    if jitter > 0.0:
+        delay *= 1.0 + jitter * ((derive_seed(seed, label) % 100_000)
+                                 / 100_000)
+    return delay
+
+
 class RngStream:
     """A named, seeded stream exposing both stdlib and numpy generators.
 

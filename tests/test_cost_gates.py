@@ -9,10 +9,13 @@ The same for an ingest day: a scalar draw per dormant company, a scan of
 the world per closed round, of the file table per ``listdir`` or of the
 frontier per claimed slice. And for the §5 community study: a CoDA sweep
 whose Python-level calls grow with the graph, or a Figure 4 pair sample
-drawn one ``randrange`` at a time.
+drawn one ``randrange`` at a time. And for the durable kernel: an
+``apply`` whose log write grows with the units before it, or a handle
+that reads back a log record or a lease it wrote itself.
 """
 
 import json.encoder
+import posixpath
 import random
 import sys
 
@@ -23,11 +26,15 @@ from repro.core.platform import ExploratoryPlatform, PlatformConfig
 from repro.dfs import jsonlines
 from repro.dfs.filesystem import MiniDfs
 from repro.dfs.jsonlines import encode_record, iter_json_dataset
+from repro.dfs.upsert import UpsertDataset
 from repro.engine.metrics import STAGE_SHUFFLE, STAGE_TASK
 from repro.graph.bipartite import BipartiteGraph
 from repro.metrics.shared import sampled_shared_sizes
 from repro.net.http import Route
+from repro.serve.alerting import Notification
+from repro.serve.outbox import DeliveryOutbox, Subscriber
 from repro.sources.angellist import AngelListServer
+from repro.util.clock import SimClock
 from repro.util.rng import RngStream
 from repro.world.config import WorldConfig
 from repro.world.dynamics import WorldDynamics
@@ -344,3 +351,110 @@ def test_the_global_pair_sample_never_calls_randrange(monkeypatch):
                                      RngStream(num_pairs))
         assert len(sizes) == num_pairs
     assert calls == []
+
+
+# ------------------------------------------------------ the durable kernel
+def _traffic(dfs, monkeypatch):
+    """Every path read, and ``(path, bytes)`` of every file created."""
+    reads, created = [], []
+    real_read, real_create = dfs.read, dfs.create
+
+    def read(path):
+        reads.append(path)
+        return real_read(path)
+
+    def create(path, data):
+        created.append((path, len(data)))
+        return real_create(path, data)
+    monkeypatch.setattr(dfs, "read", read)
+    monkeypatch.setattr(dfs, "create", create)
+    return reads, created
+
+
+def _is_data(path):
+    """A dataset's data part (or the temp file it is written under)."""
+    return posixpath.basename(path).lstrip(".").startswith(
+        ("delta-", "base-"))
+
+
+def test_apply_writes_the_same_log_bytes_after_any_history(monkeypatch):
+    dfs = MiniDfs(num_datanodes=3)
+    ds = UpsertDataset(dfs, "/ds")
+    reads, created = _traffic(dfs, monkeypatch)
+    per_apply = []
+    for n in range(600):
+        del created[:]
+        ds.apply(f"u{n:06d}", [{"id": n}])
+        per_apply.append(sum(size for path, size in created
+                             if not _is_data(path)))
+    # beside its delta, one small log record each (the first apply also
+    # writes the checkpoint that creates the dataset); only the digits
+    # of the sequence number can grow
+    assert all(per_apply[1] <= b <= per_apply[1] + 2
+               for b in per_apply[1:]), sorted(set(per_apply))
+    assert per_apply[1] < 100
+    assert reads == []
+
+
+def test_the_writing_handle_never_reads_its_log(monkeypatch):
+    dfs = MiniDfs(num_datanodes=3)
+    ds = UpsertDataset(dfs, "/ds")
+    ds.apply("u0", [{"id": 0}])
+    reads, _ = _traffic(dfs, monkeypatch)
+    for n in range(1, 40):
+        ds.apply(f"u{n}", [{"id": n}, {"id": n + 1}])
+        assert not ds.apply(f"u{n}", []).applied
+        assert ds.key_count() == n + 2
+        assert ds.unit_records(f"u{n}") == [{"id": n}, {"id": n + 1}]
+        assert ds.max_delta_seq() == n + 1
+        ds.delta_files_since(n)
+        ds.applied_units()
+    # unit_records reads the delta asked for; nothing else is read
+    assert reads == [f"/ds/delta-{n + 1:06d}.jsonl" for n in range(1, 40)]
+    # a second handle catches up once, then stays level for free
+    other = UpsertDataset(dfs, "/ds")
+    assert other.key_count() == 41
+    del reads[:]
+    other.key_count()
+    other.live_files()
+    assert reads == []
+
+
+def test_an_ingest_day_reads_no_log_record_or_lease():
+    world = generate_world(WorldConfig(scale=0.002, seed=7))
+    platform = ExploratoryPlatform(
+        world, config=PlatformConfig(engine_backend="serial"))
+    try:
+        scheduler = platform.ingest_pipeline()
+        scheduler.run_until_day(1)
+        with pytest.MonkeyPatch.context() as patch:
+            reads, _ = _traffic(scheduler.dfs, patch)
+            scheduler.run_until_day(3)
+        assert scheduler.stats.units_committed == 15
+        # the derived pass and the key index read the day's new deltas;
+        # the ledger, the leases and the dataset logs are never read back
+        assert reads and all(_is_data(path) for path in reads), reads
+    finally:
+        platform.close()
+
+
+def test_an_outbox_drain_reads_no_lease(monkeypatch):
+    dfs = MiniDfs(num_datanodes=3)
+    subscribers = {f"t{n}:default": Subscriber(f"t{n}:default",
+                                               tenant=f"t{n}")
+                   for n in range(3)}
+    outbox = DeliveryOutbox(dfs, SimClock(), subscribers)
+    for n in range(30):
+        sid = f"t{n % 3}:default"
+        outbox.enqueue(Notification(
+            id=f"ntf-{n:03d}", sub_id=f"sub-{n:06d}", tenant=f"t{n % 3}",
+            subscriber_id=sid, kind="company_funding", key=n,
+            unit="day-0001:derived", entity=f"inv:{n}:{n}",
+            payload={}))
+    reads, created = _traffic(dfs, monkeypatch)
+    outbox.drain()
+    assert outbox.stats.delivered == 30
+    # every mutation stays durable — acquire and heartbeat write the
+    # lease, release deletes it — and none of them reads it first
+    assert sum("/leases/" in path for path, _ in created) == 2 * 30
+    assert not [path for path in reads if "/leases/" in path]

@@ -81,28 +81,28 @@ class TestRecords:
 class TestLeases:
     def test_acquire_heartbeat_release(self, dfs, clock):
         ledger = _open(dfs, clock, lease_ttl_s=100.0)
-        lease = ledger.acquire_lease("u", "w1")
+        lease = ledger.leases.acquire("u", "w1")
         assert lease.epoch == 1
         clock.advance(50)
-        renewed = ledger.heartbeat(lease)
+        renewed = ledger.leases.heartbeat(lease)
         assert renewed.expires_at == clock.now() + 100.0
-        assert ledger.release(renewed)
-        assert ledger.lease_of("u") is None
+        assert ledger.leases.release(renewed)
+        assert ledger.leases.lease_of("u") is None
 
     def test_live_lease_blocks_other_owner(self, dfs, clock):
         ledger = _open(dfs, clock, lease_ttl_s=100.0)
-        ledger.acquire_lease("u", "w1")
-        assert ledger.acquire_lease("u", "w2") is None
+        ledger.leases.acquire("u", "w1")
+        assert ledger.leases.acquire("u", "w2") is None
 
     def test_takeover_of_expired_lease_bumps_epoch(self, dfs, clock):
         ledger = _open(dfs, clock, lease_ttl_s=10.0)
-        stale = ledger.acquire_lease("u", "w1")
+        stale = ledger.leases.acquire("u", "w1")
         clock.advance(11)
-        taken = ledger.acquire_lease("u", "w2")
+        taken = ledger.leases.acquire("u", "w2")
         assert taken.epoch == stale.epoch + 1
         # the dead owner can neither heartbeat nor commit
         with pytest.raises(LeaseExpired):
-            ledger.heartbeat(stale)
+            ledger.leases.heartbeat(stale)
         ledger.begin("u")
         with pytest.raises(LeaseExpired):
             ledger.commit("u", owner="w1", epoch=stale.epoch)
@@ -113,36 +113,36 @@ class TestLeases:
     def test_reclaim_keeps_lease_file_as_epoch_floor(self, dfs, clock):
         ledger = _open(dfs, clock, lease_ttl_s=10.0)
         ledger.begin("u")
-        ledger.acquire_lease("u", "w1")
+        ledger.leases.acquire("u", "w1")
         clock.advance(11)
         assert ledger.reclaim_expired() == ["u"]
         # the file survives: a fresh acquire must see epoch 2, not 1
-        assert ledger.lease_of("u") is not None
-        assert ledger.acquire_lease("u", "w2").epoch == 2
+        assert ledger.leases.lease_of("u") is not None
+        assert ledger.leases.acquire("u", "w2").epoch == 2
 
     def test_gc_drops_only_committed_units_leases(self, dfs, clock):
         ledger = _open(dfs, clock, lease_ttl_s=10.0)
         ledger.begin("done")
-        ledger.acquire_lease("done", "w1")
+        ledger.leases.acquire("done", "w1")
         ledger.commit("done")  # crash before release would leave the file
         ledger.begin("pending")
-        ledger.acquire_lease("pending", "w1")
+        ledger.leases.acquire("pending", "w1")
         assert ledger.gc_leases() == 1
-        assert ledger.lease_of("done") is None
-        assert ledger.lease_of("pending") is not None
+        assert ledger.leases.lease_of("done") is None
+        assert ledger.leases.lease_of("pending") is not None
 
     def test_fenced_commit_with_expired_own_lease(self, dfs, clock):
         ledger = _open(dfs, clock, lease_ttl_s=10.0)
         ledger.begin("u")
-        lease = ledger.acquire_lease("u", "w1")
+        lease = ledger.leases.acquire("u", "w1")
         clock.advance(11)
         with pytest.raises(LeaseExpired):
             ledger.commit("u", owner="w1", epoch=lease.epoch)
 
     def test_release_of_reclaimed_lease_is_noop(self, dfs, clock):
         ledger = _open(dfs, clock, lease_ttl_s=10.0)
-        old = ledger.acquire_lease("u", "w1")
+        old = ledger.leases.acquire("u", "w1")
         clock.advance(11)
-        new = ledger.acquire_lease("u", "w2")
-        assert not ledger.release(old)  # not ours any more
-        assert ledger.lease_of("u").epoch == new.epoch
+        new = ledger.leases.acquire("u", "w2")
+        assert not ledger.leases.release(old)  # not ours any more
+        assert ledger.leases.lease_of("u").epoch == new.epoch

@@ -73,6 +73,18 @@ class TestCrashWindows:
         assert ds.apply("u2", [{"id": 2, "v": 2}]).applied
         assert ds.key_count() == 2
 
+    def test_vacuum_sweeps_temps_of_crashed_writes(self, dfs):
+        ds = UpsertDataset(dfs, "/ds")
+        ds.apply("u1", [{"id": 1, "v": 1}])
+        torn = ["/ds/.delta-000002.jsonl.tmp-8",
+                "/ds/_log/.rec-00000002.json.tmp-9"]
+        for path in torn:
+            dfs.create(path, b"torn")
+        assert sorted(ds.vacuum()) == sorted(torn)
+        assert ds.live_files() == ["/ds/delta-000001.jsonl"]
+        assert ds.apply("u2", [{"id": 2, "v": 2}]).applied
+        assert ds.key_count() == 2
+
     def test_canonical_bytes_ignore_layout(self, dfs):
         one = UpsertDataset(dfs, "/one")
         two = UpsertDataset(dfs, "/two", records_per_part=1)
@@ -134,17 +146,15 @@ class TestCompactionReaderRace:
 
     def test_pre_compaction_manifest_stays_readable(self, dfs):
         ds = self._seeded(dfs)
-        # a reader loads the manifest, then a compaction races past it
-        snapshot = ds._load_manifest()
+        # a reader lists the live files, then a compaction races past it
+        snapshot = ds.live_files()
         view_before = ds._merged(snapshot)
         stats = ds.compact()
         assert stats.files_retired > 0
         # every file the snapshot references is still on disk...
-        for path in snapshot["base"]:
+        for path in snapshot:
             assert dfs.exists(path)
-        for delta in snapshot["deltas"]:
-            assert dfs.exists(delta["file"])
-        # ...and re-reading through the stale manifest yields the
+        # ...and re-reading through the stale listing yields the
         # identical pre-compaction view (snapshot isolation)
         assert ds._merged(snapshot) == view_before
 
@@ -280,41 +290,44 @@ class TestKeyIndex:
         assert reader.key_count() == 1
         for n in (1, 2, 3):
             writer.apply(f"u{n}", [{"id": n}])
-        second = writer.delta_files_since(0)[2][1]
+        deltas = [path for _, path in writer.delta_files_since(1)]
         with monkeypatch.context() as patch:
-            _record_reads(dfs, patch, fail_on=second)
+            _record_reads(dfs, patch, fail_on=deltas[1])
             with pytest.raises(StorageError):
                 reader.key_count()
         paths = _record_reads(dfs, monkeypatch)
         assert reader.key_count() == 4
-        # the delta folded before the fault is not read again
-        assert len(paths) == 3 and paths[0] == reader.manifest_path
+        # the log records and the delta folded before the fault are not
+        # read again: only the failed delta and the one after it
+        assert paths == deltas[1:]
 
     def test_read_count_gate(self, dfs, monkeypatch):
         warm = UpsertDataset(dfs, "/ds")
         for n in range(50):
             warm.apply(f"u{n}", [{"id": n}, {"id": n + 1}])
         paths = _record_reads(dfs, monkeypatch)
-        manifest = warm.manifest_path
 
+        # the writing handle reads nothing back: not its log, not the
+        # 50-delta chain, not the delta it just wrote
         assert warm.apply("u50", [{"id": 50}, {"id": 99}]).new_keys == 1
-        assert paths == [manifest]  # the 50-delta chain is not re-read
-        del paths[:]
         assert warm.key_count() == 52
-        assert paths == [manifest]  # nor is the delta just written
-        del paths[:]
+        assert warm.max_delta_seq() == 51 and len(warm.live_files()) == 51
+        assert paths == []
 
         cold = UpsertDataset(dfs, "/ds")
         live = cold.live_files()
+        log = [cold._log.checkpoint_path] + [
+            cold._log.path(seq) for seq in range(1, 52)]
+        assert paths == log   # a fresh handle replays the log once
         del paths[:]
         assert cold.key_count() == 52
-        assert sorted(paths) == sorted([manifest] + live)
+        assert sorted(paths) == sorted(live)
 
         warm.apply("u51", [{"id": 100}])
         foreign = warm.delta_files_since(51)[0][1]
         del paths[:]
-        assert cold.key_count() == 53  # one foreign delta: one file read
-        assert paths == [manifest, foreign]
+        assert cold.key_count() == 53  # one foreign delta: two files read
+        assert paths == [cold._log.path(52), foreign]
 
     def test_unit_records_and_compact_read_once(self, dfs, monkeypatch):
         ds = UpsertDataset(dfs, "/ds", records_per_part=2)
@@ -323,11 +336,11 @@ class TestKeyIndex:
         live = ds.live_files()
         paths = _record_reads(dfs, monkeypatch)
         assert ds.unit_records("u2") == [{"id": 2, "v": 2}]
-        assert paths == [ds.manifest_path, live[1]]
+        assert paths == [live[1]]
         assert ds.unit_records("never-applied") == []
         del paths[:]
         stats = ds.compact()
         assert (stats.deltas_folded, stats.records_before,
                 stats.records_after, stats.files_retired) == (2, 3, 2, 2)
-        assert sorted(paths) == sorted([ds.manifest_path] + live)
+        assert sorted(paths) == sorted(live)
         assert ds.unit_records("u2") == []  # folded into the base

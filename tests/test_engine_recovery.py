@@ -11,6 +11,7 @@ import pytest
 from repro.dfs.filesystem import MiniDfs
 from repro.engine.backends import (ProcessBackend, SerialBackend,
                                    ThreadBackend)
+from repro.engine import checkpoint
 from repro.engine.checkpoint import CheckpointManager
 from repro.engine.context import SparkLiteContext
 from repro.engine.supervisor import (ExecutorLostError, SupervisePolicy,
@@ -384,6 +385,31 @@ class TestCheckpoint:
         dfs.delete("/ckpt/rdd-7/_meta.json")
         assert 7 not in manager
         assert manager.get(7) is None
+
+    def test_unreadable_checkpoint_counts_its_cause(self, dfs):
+        manager = CheckpointManager(dfs, "/ckpt")
+        manager.put(1, [[1], [2]])
+        dfs.write_atomic("/ckpt/rdd-1/part-00001.pkl.z", b"not zlib")
+        assert manager.get(1) is None
+        dfs.delete("/ckpt/rdd-1/part-00000.pkl.z")
+        assert manager.get(1) is None
+        dfs.write_atomic_text("/ckpt/rdd-1/_meta.json", "{torn")
+        assert 1 not in manager
+        assert manager.unreadable == {
+            "zlib.error": 1, "repro.util.errors.NotFoundError": 1,
+            "json.decoder.JSONDecodeError": 1}
+        assert manager.hits == 0
+
+    def test_a_bug_while_restoring_propagates(self, dfs, monkeypatch):
+        manager = CheckpointManager(dfs, "/ckpt")
+        manager.put(1, [[1], [2]])
+
+        def broken(payload):
+            raise TypeError("a bug, not a torn checkpoint")
+        monkeypatch.setattr(checkpoint.pickle, "loads", broken)
+        with pytest.raises(TypeError):
+            manager.get(1)
+        assert not manager.unreadable
 
     def test_delete_removes_all_files(self, dfs):
         manager = CheckpointManager(dfs, "/ckpt")

@@ -61,8 +61,7 @@ class TestHappyPath:
                     == report.dataset_keys["follow_edges"])
             assert (report.dataset_keys["derived/investment_edges"]
                     == report.dataset_keys["investments"])
-            assert scheduler.ledger.live_leases() == []
-            assert scheduler.ledger.expired_leases() == []
+            assert scheduler.ledger.leases.leases() == []
         finally:
             platform.close()
 
@@ -176,8 +175,7 @@ class TestKillResumeDrill:
             for name, ds in scheduler.dataset_map().items():
                 assert ds.duplicate_key_groups() == base_dups[name], name
             # and every lease was reclaimed or released
-            assert scheduler.ledger.live_leases() == []
-            assert scheduler.ledger.expired_leases() == []
+            assert scheduler.ledger.leases.leases() == []
             assert scheduler.ledger.pending_units() == []
         finally:
             platform.close()

@@ -130,7 +130,7 @@ class TestFencing:
         note = _notification()
         outbox.enqueue(note)
         # a rival delivery worker holds this subscriber's lease
-        rival = outbox.leases.acquire_lease("t0:default", "outbox-2")
+        rival = outbox.leases.acquire("t0:default", "outbox-2")
         assert rival is not None
         assert outbox.attempt(note.id) == OUTCOME_FENCED
         assert outbox.delivered_ids() == []
@@ -196,6 +196,20 @@ class TestDurability:
         resumed.drain()
         assert resumed.delivered_ids() == [note.id]
         assert subs["t0:default"].effects == [note.id]
+
+    def test_building_an_outbox_sweeps_crash_temps(self, dfs, clock):
+        outbox, subs = _outbox(dfs, clock)
+        note = _notification()
+        outbox.enqueue(note)
+        # a crash between a write's temp and its rename, lease and pending
+        dfs.create("/serve/outbox/leases/.t0:default.json.tmp-41", b"torn")
+        dfs.create("/serve/outbox/pending/.x.json.tmp-42", b"torn")
+        resumed = DeliveryOutbox(dfs, clock, subs, owner="outbox-2")
+        assert not [p for p in dfs.listdir("/serve/outbox")
+                    if ".tmp-" in p]
+        assert resumed.pending() == [note.id]
+        resumed.drain()
+        assert resumed.delivered_ids() == [note.id]
 
     def test_defer_is_not_a_failed_attempt(self, dfs, clock):
         outbox, _ = _outbox(dfs, clock)

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import RngStream, derive_seed
+from repro.dfs.filesystem import MiniDfs
+from repro.serve.outbox import DeliveryOutbox
+from repro.util.clock import SimClock
+from repro.util.rng import RngStream, derive_seed, jittered_backoff
 
 
 class TestDeriveSeed:
@@ -68,3 +71,47 @@ class TestRngStream:
     def test_zipf_invalid_max(self):
         with pytest.raises(ValueError):
             RngStream(1).zipf_bounded(2.0, 0)
+
+
+class TestJitteredBackoff:
+    """One helper behind the client's retry sleeps and the outbox's
+    redelivery delays; both old formulas are pinned here float for
+    float, so a same-seed crawl and delivery log replay unchanged."""
+
+    @staticmethod
+    def _client_formula(base, jitter, seed, path, retry_index, requests):
+        backoff = base * (2 ** retry_index)
+        if jitter > 0.0:
+            label = f"{path}:{retry_index}:{requests}"
+            fraction = (derive_seed(seed, label) % 100_000) / 100_000
+            backoff *= 1.0 + jitter * fraction
+        return backoff
+
+    @staticmethod
+    def _outbox_formula(base_s, max_s, seed, nid, attempt):
+        base = base_s * (2 ** max(0, attempt - 1))
+        jitter = (derive_seed(seed, f"backoff:{nid}:a{attempt}")
+                  % 100_000) / 100_000
+        return round(min(max_s, base * (1.0 + 0.5 * jitter)), 9)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.1, 0.25, 1.0])
+    def test_matches_the_client_formula(self, jitter):
+        for seed in (0, 7, 31337):
+            for retry in range(6):
+                for requests in (0, 3, 1000):
+                    path = f"/1/users/{requests}/following"
+                    assert jittered_backoff(
+                        0.5, retry, jitter, seed,
+                        f"{path}:{retry}:{requests}") == \
+                        self._client_formula(0.5, jitter, seed, path, retry,
+                                             requests)
+
+    def test_matches_the_outbox_formula(self):
+        for seed in (0, 3, 7):
+            outbox = DeliveryOutbox(MiniDfs(num_datanodes=3), SimClock(),
+                                    {}, seed=seed, retry_base_s=5.0,
+                                    retry_max_s=300.0)
+            for attempt in range(0, 9):
+                for nid in ("ntf-a", "ntf-sub-000001-day-0001:derived"):
+                    assert outbox.backoff_s(nid, attempt) == \
+                        self._outbox_formula(5.0, 300.0, seed, nid, attempt)

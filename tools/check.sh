@@ -34,6 +34,19 @@ if grep -rnF --include='*.py' -e 'separators=(",", ":")' -e 'json.loads(line' \
     exit 1
 fi
 
+echo "== one durable kernel =="
+# repro.durable owns the state the continuous tiers recover after a crash
+# (EventLog records and checkpoints, LeaseTable leases, read_doc /
+# write_doc); a module that decodes its own state file again, or spells
+# its own lease or manifest write, is a second copy of the kernel
+if grep -nF -e 'json.loads(self.dfs.read_text(' -e 'MANIFEST' \
+        -e 'manifest_path' -e '_lease_path(' -e 'to_json()' \
+        src/repro/crawl/ledger.py src/repro/dfs/upsert.py \
+        src/repro/serve/outbox.py src/repro/serve/subscriptions.py; then
+    echo "durable state handled outside src/repro/durable.py" >&2
+    exit 1
+fi
+
 echo "== pytest (tier 1) =="
 python -m pytest -x -q "$@"
 
@@ -61,12 +74,16 @@ echo "== counted cost gates (pipeline hot paths) =="
 # the sequential loop, the DFS namespace index against a scan of the
 # file table. For the community study: a CoDA sweep's Python calls do
 # not grow with the graph and the Figure 4 sample calls no randrange,
-# held with the array CoDA against the row loop it replaced. Part of
-# tier 1 above; run by name so a renamed or deselected module fails the
-# gate
+# held with the array CoDA against the row loop it replaced. For the
+# durable kernel: an apply writes one small log record whatever came
+# before it, and no handle reads back the log records or leases it wrote
+# itself, held with the kernel's differentials (cached handles against
+# fresh replays and against the MANIFEST.json layout they replaced).
+# Part of tier 1 above; run by name so a renamed or deselected module
+# fails the gate
 python -m pytest -q -p no:cacheprovider tests/test_cost_gates.py \
     tests/test_world_dynamics_differential.py tests/test_dfs_namespace_ops.py \
-    tests/test_community_coda_differential.py
+    tests/test_community_coda_differential.py tests/test_durable.py
 
 echo "== benchmark smoke (partition recovery) =="
 # small-scale A5 run: proves losing an executor recomputes strictly
@@ -93,7 +110,8 @@ echo "== benchmark smoke (ingest kill-anywhere resume) =="
 # resume from the write-ahead ledger — eventual datasets byte-identical
 # to an uninterrupted run, zero duplicate lands, all leases reclaimed,
 # incremental recompute bounded (each source record scanned once),
-# landing cost flat in chain length (landing_reads_per_day)
+# landing cost flat in chain length (landing_reads_per_day: data-file
+# reads and dataset-log bytes read/written per day over 64 days)
 with_timeout python benchmarks/bench_a8_ingest.py \
     --smoke --json benchmarks/out/BENCH_ingest.json
 
