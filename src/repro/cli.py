@@ -300,7 +300,7 @@ def _alerting_setup(platform: ExploratoryPlatform,
         pools = {
             "company_funding": dataset.keys_for("company"),
             "community_investor": sorted(dataset.community_members),
-            "neighborhood_follow": sorted(dataset.follows_out),
+            "neighborhood_follow": dataset.keys_for("neighborhood"),
         }
         kinds = [k for k in SUBSCRIPTION_KINDS if pools.get(k)]
         for i in range(args.subscribers):

@@ -75,11 +75,8 @@ def notification_id(sub_id: str, unit: str, entity: str) -> str:
 def _neighborhood(dataset: ServeDataset, uid: int) -> Set[int]:
     """The user keyspace a ``neighborhood_follow`` subscription watches:
     the subscriber's own id plus every user they already follow."""
-    watch = {int(uid)}
-    for dst_type, dst_id in dataset.follows_out.get(int(uid), ()):
-        if dst_type == "user":
-            watch.add(int(dst_id))
-    return watch
+    users, _ = dataset.follows_out.targets(int(uid))
+    return {int(uid), *users}
 
 
 @dataclass

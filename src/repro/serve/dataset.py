@@ -23,13 +23,16 @@ builds over the same crawl are identical.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
+
+import numpy as np
 
 from repro.community.labelprop import label_propagation
 from repro.dfs.filesystem import HedgedRead, MiniDfs
-from repro.dfs.jsonlines import decode_line
+from repro.dfs.jsonlines import decode_line, decode_lines
 from repro.graph.bipartite import BipartiteGraph
 from repro.util.errors import ConfigError, StorageError
 
@@ -107,6 +110,320 @@ class SpanIndex:
         return self.columns() == other.columns()
 
 
+#: a follow record's ``dst_type``, by its one-byte code (the strings'
+#: own order, so a row sorted by code is sorted by ``(dst_type, dst_id)``)
+FOLLOW_TYPES = ("startup", "user")
+_TYPE_CODE = {name: code for code, name in enumerate(FOLLOW_TYPES)}
+
+#: a user's ``(followed user ids, followed company ids)``
+Targets = Tuple[Sequence[int], Sequence[int]]
+#: the targets of a user with no row
+NO_TARGETS: Targets = ((), ())
+
+
+def _int64(values: Iterable[int] = ()) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.int64)
+
+
+class FollowIndex:
+    """The follow graph: each user's out-row and each target's follower
+    count, as six flat columns.
+
+    The out-rows are CSR: ``_src_users`` (sorted ``int64`` user ids) and
+    ``_row_starts`` (one more entry than users) slice the per-edge
+    ``_dst_is_user`` (``uint8``: 0 startup, 1 user) and ``_dst_ids``
+    (``int64``) columns, every row sorted by ``(dst_type, dst_id)``. The
+    in-counts are ``_count_keys`` (sorted ``2 * dst_id + is_user``) with
+    ``_counts``. About 12 bytes an edge, where a dict of ``(dst_type,
+    dst_id)`` tuple lists cost ≈130. Callers see a read-only mapping of
+    user id → sorted ``[(dst_type, dst_id)]`` row plus the methods
+    below; nothing outside this module knows the columns.
+
+    Each column is a ``memoryview`` of a numpy buffer: a look-up bisects
+    it and reads Python ints straight out (a numpy scalar costs twice as
+    much a step); the bulk paths wrap it back with ``np.asarray``.
+    """
+
+    __slots__ = ("_src_users", "_row_starts", "_dst_is_user", "_dst_ids",
+                 "_count_keys", "_counts")
+
+    def __init__(self, src_users=(), row_starts=(0,), dst_is_user=(),
+                 dst_ids=(), count_keys=(), counts=()):
+        self._src_users = memoryview(_int64(src_users))
+        self._row_starts = memoryview(_int64(row_starts))
+        self._dst_is_user = memoryview(np.ascontiguousarray(
+            dst_is_user, dtype=np.uint8))
+        self._dst_ids = memoryview(_int64(dst_ids))
+        self._count_keys = memoryview(_int64(count_keys))
+        self._counts = memoryview(_int64(counts))
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        """The six columns as numpy arrays (no copy), in slot order."""
+        return tuple(np.asarray(getattr(self, name))
+                     for name in self.__slots__)
+
+    # -------------------------------------------------------- constructors
+    @classmethod
+    def from_edges(cls, src, dst_is_user, dst_ids,
+                   count_keys=None, counts=None) -> "FollowIndex":
+        """Index the edges ``src → (dst_is_user, dst_ids)`` (parallel
+        columns, any order). Their follower counts are the edges' own
+        unless ``count_keys``/``counts`` (any order) are given."""
+        src, dst_ids = _int64(src), _int64(dst_ids)
+        dst_is_user = np.asarray(dst_is_user, dtype=np.uint8)
+        order = np.lexsort((dst_ids, dst_is_user, src))
+        src = src[order]
+        dst_is_user, dst_ids = dst_is_user[order], dst_ids[order]
+        heads = np.ones(len(src), dtype=bool)
+        heads[1:] = src[1:] != src[:-1]
+        firsts = np.flatnonzero(heads)
+        if count_keys is None:
+            count_keys, counts = np.unique(dst_ids * 2 + dst_is_user,
+                                           return_counts=True)
+        else:
+            count_keys, counts = _int64(count_keys), _int64(counts)
+            order = np.argsort(count_keys, kind="stable")
+            count_keys, counts = count_keys[order], counts[order]
+        return cls(src[firsts], np.append(firsts, len(src)), dst_is_user,
+                   dst_ids, count_keys, counts)
+
+    @classmethod
+    def from_rows(cls, rows: Dict[int, Iterable[Tuple[str, int]]],
+                  follower_counts: Optional[Dict[Tuple[str, int], int]]
+                  = None) -> "FollowIndex":
+        """From ``user → [(dst_type, dst_id)]`` rows (and, if given,
+        ``(dst_type, dst_id) → count``; else the rows' own counts)."""
+        edges = [(int(src), _type_code(dst_type), int(dst_id))
+                 for src, row in rows.items() for dst_type, dst_id in row]
+        src, dst_is_user, dst_ids = (zip(*edges) if edges
+                                     else ((), (), ()))
+        if follower_counts is None:
+            return cls.from_edges(src, dst_is_user, dst_ids)
+        keys = [2 * int(dst_id) + _type_code(dst_type)
+                for dst_type, dst_id in follower_counts]
+        return cls.from_edges(src, dst_is_user, dst_ids, keys,
+                              list(follower_counts.values()))
+
+    @classmethod
+    def from_parts(cls, dfs: MiniDfs, directory: str,
+                   part_records: Dict[str, int]) -> "FollowIndex":
+        """Index a landed ``follow_edges`` dataset, counting its records
+        per part into ``part_records``.
+
+        Each part is decoded once into three columns; no per-edge Python
+        object outlives its part. A record whose ``dst_type`` is neither
+        ``startup`` nor ``user`` raises :class:`StorageError` naming the
+        part and the line.
+        """
+        columns = []
+        for path in _parts_of(dfs, directory):
+            part = _follow_part(path, dfs.read(path).decode("utf-8"))
+            part_records[path] = len(part[0])
+            columns.append(part)
+        return cls.from_edges(*map(np.concatenate, zip(*columns)))
+
+    @classmethod
+    def from_doc(cls, doc: Dict[str, Dict]) -> "FollowIndex":
+        """Inverse of :meth:`to_doc`."""
+        counts = {}
+        for key, count in doc["follower_counts"].items():
+            dst_type, _, dst_id = key.rpartition(":")
+            counts[(dst_type, int(dst_id))] = count
+        return cls.from_rows({int(k): row
+                              for k, row in doc["follows_out"].items()},
+                             counts)
+
+    # -------------------------------------------------------------- queries
+    def _row(self, uid: int) -> Optional[Tuple[int, int]]:
+        """``(start, end)`` of the user's row, or ``None``."""
+        users = self._src_users
+        at = bisect_left(users, uid)
+        if at == len(users) or users[at] != uid:
+            return None
+        return self._row_starts[at], self._row_starts[at + 1]
+
+    def targets(self, uid: int) -> Targets:
+        """``(followed user ids, followed company ids)`` of a user, each
+        ascending; both empty for a user with no row."""
+        row = self._row(uid)
+        if row is None:
+            return NO_TARGETS
+        start, end = row
+        # startups (code 0) lead a row, users follow
+        ids = self._dst_ids[start:end].tolist()
+        split = bisect_left(self._dst_is_user, 1, start, end) - start
+        return ids[split:], ids[:split]
+
+    def get(self, uid: int, default: Any = None) -> Any:
+        """The user's row as a sorted ``[(dst_type, dst_id)]`` list."""
+        if self._row(uid) is None:
+            return default
+        users, companies = self.targets(uid)
+        return ([("startup", c) for c in companies]
+                + [("user", u) for u in users])
+
+    def out_degree(self, uid: int) -> int:
+        row = self._row(uid)
+        return 0 if row is None else row[1] - row[0]
+
+    def followers(self, dst_type: str, dst_id: int) -> int:
+        """How many follow edges point at ``(dst_type, dst_id)``."""
+        key = 2 * int(dst_id) + _TYPE_CODE[dst_type]
+        keys = self._count_keys
+        at = bisect_left(keys, key)
+        if at == len(keys) or keys[at] != key:
+            return 0
+        return self._counts[at]
+
+    def __iter__(self) -> Iterator[int]:
+        """User ids with a row, ascending, as Python ints."""
+        return iter(self._src_users.tolist())
+
+    def __len__(self) -> int:
+        return len(self._src_users)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self._dst_ids)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by every column."""
+        return sum(getattr(self, name).nbytes for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FollowIndex):
+            return NotImplemented
+        return all(np.array_equal(mine, theirs) for mine, theirs
+                   in zip(self._columns(), other._columns()))
+
+    def __repr__(self) -> str:
+        return (f"FollowIndex(users={len(self)}, edges={self.num_edges}, "
+                f"targets={len(self._count_keys)})")
+
+    # ------------------------------------------------------ shards, codec
+    def split(self, owner: Callable[[int], int],
+              num_shards: int) -> List["FollowIndex"]:
+        """One index per shard: a row goes to ``owner(user id)``, a
+        follower count to ``owner(dst_id)``."""
+        users, starts, is_user, ids, keys, counts = self._columns()
+        lengths = np.diff(starts)
+        row_owner = np.fromiter(map(owner, users.tolist()), np.int64,
+                                len(users))
+        edge_owner = np.repeat(row_owner, lengths)
+        count_owner = np.fromiter(map(owner, (keys >> 1).tolist()),
+                                  np.int64, len(keys))
+        shards = []
+        for sid in range(num_shards):
+            rows = row_owner == sid
+            edges = edge_owner == sid
+            counted = count_owner == sid
+            shards.append(FollowIndex(
+                users[rows], np.concatenate(([0], np.cumsum(lengths[rows]))),
+                is_user[edges], ids[edges], keys[counted], counts[counted]))
+        return shards
+
+    def to_doc(self) -> Dict[str, Dict]:
+        """The persisted form: ``follows_out`` maps a decimal user id to
+        its ``[[dst_type, dst_id], …]`` row, ``follower_counts`` maps
+        ``"dst_type:dst_id"`` to its count."""
+        types = [FOLLOW_TYPES[code] for code in self._dst_is_user.tolist()]
+        ids = self._dst_ids.tolist()
+        starts = self._row_starts.tolist()
+        follows_out = {
+            str(uid): [[t, i] for t, i in zip(types[start:end],
+                                              ids[start:end])]
+            for uid, start, end in zip(self._src_users.tolist(),
+                                       starts, starts[1:])}
+        follower_counts = {
+            f"{FOLLOW_TYPES[key & 1]}:{key >> 1}": count
+            for key, count in zip(self._count_keys.tolist(),
+                                  self._counts.tolist())}
+        return {"follows_out": follows_out,
+                "follower_counts": follower_counts}
+
+
+def _follow_part(path: str, text: str,
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, dst_is_user, dst_ids)`` columns of one follow part; its
+    decoded records die with the call."""
+    records = decode_lines(text)
+    n = len(records)
+    codes = np.fromiter((_TYPE_CODE.get(r["dst_type"], 255)
+                         for r in records), np.uint8, n)
+    bad = np.flatnonzero(codes == 255)
+    if len(bad):
+        index = int(bad[0])
+        raise StorageError(
+            f"{path} line {_line_number(text, index)}: follow record "
+            f"dst_type {records[index]['dst_type']!r} is not one of "
+            f"{FOLLOW_TYPES}")
+    return (np.fromiter((r["src_user"] for r in records), np.int64, n),
+            codes,
+            np.fromiter((r["dst_id"] for r in records), np.int64, n))
+
+
+def _type_code(dst_type: str) -> int:
+    code = _TYPE_CODE.get(dst_type)
+    if code is None:
+        raise StorageError(f"follow dst_type {dst_type!r} is not one of "
+                           f"{FOLLOW_TYPES}")
+    return code
+
+
+def _line_number(text: str, index: int) -> int:
+    """1-based line of ``text`` holding its ``index``-th non-empty line
+    (the position :func:`decode_lines` gave that record)."""
+    numbers = [n for n, line in enumerate(text.splitlines(), 1) if line]
+    return numbers[index]
+
+
+class NeighborhoodWalk:
+    """The neighborhood query: a BFS over follow rows, one hop at a time.
+
+    The unsharded traversal and the sharded scatter (which fetches each
+    hop's rows from the owner shards) both run it and differ only in
+    where :meth:`hop` gets a user's targets, so their answers agree.
+    """
+
+    def __init__(self, key: int, depth: int):
+        self.key = key
+        self.depth = max(1, min(int(depth), 3))
+        self.seen_users = {key}
+        self.seen_companies: Set[int] = set()
+        self.frontier = [key]
+
+    def hop(self, targets: Callable[[int], Targets]) -> int:
+        """Expand the frontier by one hop; returns the edges walked."""
+        seen_users = self.seen_users
+        walked = 0
+        frontier: List[int] = []
+        for uid in self.frontier:
+            users, companies = targets(uid)
+            walked += len(users) + len(companies)
+            for dst in users:
+                if dst not in seen_users:
+                    seen_users.add(dst)
+                    frontier.append(dst)
+            self.seen_companies.update(companies)
+        self.frontier = frontier
+        return walked
+
+    def value(self, known: bool) -> Dict:
+        key = self.key
+        return {
+            "user_id": key,
+            "known": known,
+            "depth": self.depth,
+            "users_reached": len(self.seen_users) - 1,
+            "companies_reached": len(self.seen_companies),
+            "user_sample": sorted(self.seen_users - {key}
+                                  )[:MAX_IDS_IN_ANSWER],
+            "company_sample": sorted(self.seen_companies
+                                     )[:MAX_IDS_IN_ANSWER],
+        }
+
+
 @dataclass
 class QueryAnswer:
     """One backend answer: the value plus its simulated cost drivers."""
@@ -138,12 +455,9 @@ class ServeDataset:
     #: investor → sorted companies; company → sorted investors
     portfolio: Dict[int, List[int]] = field(default_factory=dict)
     backers: Dict[int, List[int]] = field(default_factory=dict)
-    #: follow-graph adjacency: user → sorted [(dst_type, dst_id)]
-    follows_out: Dict[int, List[Tuple[str, int]]] = field(
-        default_factory=dict)
-    #: reverse follow edges: (dst_type, dst_id) → follower count
-    follower_counts: Dict[Tuple[str, int], int] = field(
-        default_factory=dict)
+    #: the follow graph: user → sorted [(dst_type, dst_id)] rows, and
+    #: each (dst_type, dst_id)'s follower count
+    follows_out: FollowIndex = field(default_factory=FollowIndex)
     #: investor → community label, label → sorted members
     community_of: Dict[int, int] = field(default_factory=dict)
     community_members: Dict[int, List[int]] = field(default_factory=dict)
@@ -180,14 +494,8 @@ class ServeDataset:
         for _, rec, _, _ in _iter_parts(
                 dfs, f"{angellist_root}/investments", ds.part_records):
             edges.add((int(rec["investor_id"]), int(rec["company_id"])))
-        for _, rec, _, _ in _iter_parts(
-                dfs, f"{angellist_root}/follow_edges", ds.part_records):
-            src = int(rec["src_user"])
-            dst = (str(rec["dst_type"]), int(rec["dst_id"]))
-            ds.follows_out.setdefault(src, []).append(dst)
-            ds.follower_counts[dst] = ds.follower_counts.get(dst, 0) + 1
-        for adj in ds.follows_out.values():
-            adj.sort()
+        ds.follows_out = FollowIndex.from_parts(
+            dfs, f"{angellist_root}/follow_edges", ds.part_records)
 
         for _, org, _, _ in _iter_parts(dfs, crunchbase_dir,
                                         ds.part_records, optional=True):
@@ -241,7 +549,6 @@ class ServeDataset:
         num_companies = len(self.company_parts)
         successes = sum(1 for row in self.engagement.values()
                         if row["success"])
-        degrees = [len(adj) for adj in self.follows_out.values()]
         self.summaries = {
             KIND_COMPANY: {
                 "total_companies": num_companies,
@@ -253,8 +560,9 @@ class ServeDataset:
                                          self.portfolio.values())},
             KIND_NEIGHBORHOOD: {
                 "total_users": len(self.user_parts),
-                "mean_out_degree": round(sum(degrees)
-                                         / max(1, len(degrees)), 3)},
+                "mean_out_degree": round(self.follows_out.num_edges
+                                         / max(1, len(self.follows_out)),
+                                         3)},
             KIND_COMMUNITY: {
                 "num_communities": len(self.community_members),
                 "covered_investors": len(self.community_of)},
@@ -376,7 +684,7 @@ class ServeDataset:
             "funding_rounds": rounds,
             "round_investors": round_investors,
             "backers": len(self.backers.get(key, ())),
-            "followers": self.follower_counts.get(("startup", key), 0),
+            "followers": self.follows_out.followers("startup", key),
         }
         return QueryAnswer(value=value, units=self.part_records[part],
                            hedged=hedged, span_fallback=fell_back)
@@ -397,8 +705,8 @@ class ServeDataset:
             "investments": len(portfolio),
             "portfolio_sample": portfolio[:MAX_IDS_IN_ANSWER],
             "community": self.community_of.get(key),
-            "follows": len(self.follows_out.get(key, ())),
-            "followers": self.follower_counts.get(("user", key), 0),
+            "follows": self.follows_out.out_degree(key),
+            "followers": self.follows_out.followers("user", key),
         }
         units = self.part_records[part] + len(portfolio)
         return QueryAnswer(value=value, units=units, hedged=hedged,
@@ -406,33 +714,11 @@ class ServeDataset:
 
     def _traverse(self, key: int, depth: int) -> Tuple[Dict, int]:
         """BFS over follow edges from a user, ``depth`` hops out."""
-        depth = max(1, min(int(depth), 3))
-        seen_users = {key}
-        seen_companies: Set[int] = set()
-        frontier = [key]
+        walk = NeighborhoodWalk(key, depth)
         units = 1
-        for _ in range(depth):
-            next_frontier: List[int] = []
-            for uid in frontier:
-                for dst_type, dst_id in self.follows_out.get(uid, ()):
-                    units += 1
-                    if dst_type == "user":
-                        if dst_id not in seen_users:
-                            seen_users.add(dst_id)
-                            next_frontier.append(dst_id)
-                    else:
-                        seen_companies.add(dst_id)
-            frontier = next_frontier
-        value = {
-            "user_id": key,
-            "known": key in self.user_parts,
-            "depth": depth,
-            "users_reached": len(seen_users) - 1,
-            "companies_reached": len(seen_companies),
-            "user_sample": sorted(seen_users - {key})[:MAX_IDS_IN_ANSWER],
-            "company_sample": sorted(seen_companies)[:MAX_IDS_IN_ANSWER],
-        }
-        return value, units
+        for _ in range(walk.depth):
+            units += walk.hop(self.follows_out.targets)
+        return walk.value(key in self.user_parts), units
 
     def _run_community(self, key: int) -> QueryAnswer:
         label = self.community_of.get(key)
@@ -462,7 +748,7 @@ class ServeDataset:
         if kind == KIND_INVESTOR or kind == KIND_COMMUNITY:
             return sorted(self.portfolio)
         if kind == KIND_NEIGHBORHOOD:
-            return sorted(self.follows_out)
+            return list(self.follows_out)       # ascending already
         raise ConfigError(f"unknown query kind {kind!r}")
 
 
@@ -489,11 +775,7 @@ def _iter_parts(dfs: MiniDfs, directory: str,
     """Yield (part_path, record, offset, length) over a dataset, counting
     records/part. ``offset``/``length`` are the record line's byte span
     inside the part, newline excluded."""
-    parts = dfs.glob_parts(directory)
-    if not parts and not optional:
-        raise ConfigError(f"no part files under {directory}; "
-                          f"run the crawl before building serve indexes")
-    for path in parts:
+    for path in _parts_of(dfs, directory, optional):
         count = 0
         offset = 0
         # bytes split on "\n" only: str.splitlines() also breaks on
@@ -505,3 +787,12 @@ def _iter_parts(dfs: MiniDfs, directory: str,
                 yield path, decode_line(line.decode("utf-8")), offset, length
             offset += length + 1
         part_records[path] = count
+
+
+def _parts_of(dfs: MiniDfs, directory: str,
+              optional: bool = False) -> List[str]:
+    parts = dfs.glob_parts(directory)
+    if not parts and not optional:
+        raise ConfigError(f"no part files under {directory}; "
+                          f"run the crawl before building serve indexes")
+    return parts

@@ -49,7 +49,8 @@ from repro.serve.autoscale import AutoscaleConfig, Autoscaler
 from repro.serve.dataset import (KIND_COMMUNITY, KIND_COMPANY,
                                  KIND_ENGAGEMENT, KIND_INVESTOR,
                                  KIND_NEIGHBORHOOD, MAX_IDS_IN_ANSWER,
-                                 ServeDataset, SpanIndex)
+                                 NO_TARGETS, FollowIndex, NeighborhoodWalk,
+                                 ServeDataset, SpanIndex, Targets)
 from repro.serve.health import (EVENT_DEGRADED, EVENT_OK, HealthMonitor)
 from repro.serve.metrics import (SHARD_DEAD, SHARD_DEADLINE, SHARD_OK,
                                  SHARD_PARTITIONED, STATUS_CACHED,
@@ -151,10 +152,10 @@ def split_dataset(dataset: ServeDataset,
             uid, offset, length)
     for uid, companies in dataset.portfolio.items():
         shards[shard_of(uid, num_shards)].portfolio[uid] = companies
-    for uid, adj in dataset.follows_out.items():
-        shards[shard_of(uid, num_shards)].follows_out[uid] = adj
-    for dst, count in dataset.follower_counts.items():
-        shards[shard_of(dst[1], num_shards)].follower_counts[dst] = count
+    follows = dataset.follows_out.split(
+        lambda key: shard_of(key, num_shards), num_shards)
+    for shard, piece in zip(shards, follows):
+        shard.follows_out = piece
     for uid, label in dataset.community_of.items():
         shards[shard_of(uid, num_shards)].community_of[uid] = label
     for label, members in dataset.community_members.items():
@@ -180,10 +181,7 @@ def shard_index_json(shard: ServeDataset) -> str:
         "engagement": {str(k): v for k, v in shard.engagement.items()},
         "user_parts": {str(k): v for k, v in shard.user_parts.items()},
         "portfolio": {str(k): v for k, v in shard.portfolio.items()},
-        "follows_out": {str(k): [list(e) for e in v]
-                        for k, v in shard.follows_out.items()},
-        "follower_counts": {f"{t}:{i}": c for (t, i), c
-                            in shard.follower_counts.items()},
+        **shard.follows_out.to_doc(),
         "community_of": {str(k): v
                          for k, v in shard.community_of.items()},
         "community_members": {str(k): v for k, v
@@ -208,12 +206,7 @@ def shard_index_from_json(text: str) -> ServeDataset:
     shard.company_spans = SpanIndex(*raw["company_spans"])
     shard.user_spans = SpanIndex(*raw["user_spans"])
     shard.portfolio = {int(k): v for k, v in raw["portfolio"].items()}
-    shard.follows_out = {
-        int(k): [(e[0], e[1]) for e in v]
-        for k, v in raw["follows_out"].items()}
-    shard.follower_counts = {
-        (key.rsplit(":", 1)[0], int(key.rsplit(":", 1)[1])): c
-        for key, c in raw["follower_counts"].items()}
+    shard.follows_out = FollowIndex.from_doc(raw)
     shard.community_of = {int(k): v
                           for k, v in raw["community_of"].items()}
     shard.community_members = {int(k): v for k, v
@@ -616,21 +609,17 @@ class ShardedQueryService(QueryService):
                               partitioned, slow_map):
         scfg = self.shard_config
         cfg = self.config
-        depth = max(1, min(int(request.depth), 3))
-        key = request.key
+        walk = NeighborhoodWalk(request.key, request.depth)
         statuses: Dict[int, str] = {}
-        seen_users = {key}
-        seen_companies: set = set()
-        frontier = [key]
         t = start_s + cfg.base_cost_s
-        for _ in range(depth):
-            if not frontier:
+        for _ in range(walk.depth):
+            if not walk.frontier:
                 break
             by_owner: Dict[int, List[int]] = {}
-            for uid in frontier:
+            for uid in walk.frontier:
                 by_owner.setdefault(shard_of(uid, scfg.num_shards),
                                     []).append(uid)
-            adj: Dict[int, List[Tuple[str, int]]] = {}
+            adj: Dict[int, Targets] = {}
             round_elapsed = 0.0
             for sid in sorted(by_owner):
                 call = self._call_shard(
@@ -644,29 +633,13 @@ class ShardedQueryService(QueryService):
                     statuses[sid] = call.status
                 round_elapsed = max(round_elapsed, call.elapsed_s)
             t += round_elapsed + scfg.gather_cost_s
-            next_frontier: List[int] = []
-            for uid in frontier:            # oracle order, not shard order
-                for dst_type, dst_id in adj.get(uid, ()):
-                    if dst_type == "user":
-                        if dst_id not in seen_users:
-                            seen_users.add(dst_id)
-                            next_frontier.append(dst_id)
-                    else:
-                        seen_companies.add(dst_id)
-            frontier = next_frontier
+            # the frontier in oracle order, not shard order
+            walk.hop(lambda uid: adj.get(uid, NO_TARGETS))
         coverage = self._coverage(statuses)
         if statuses and all(s != SHARD_OK for s in statuses.values()):
             return None, t - start_s, coverage
-        value = {
-            "user_id": key,
-            "known": key in self.dataset.user_parts,
-            "depth": depth,
-            "users_reached": len(seen_users) - 1,
-            "companies_reached": len(seen_companies),
-            "user_sample": sorted(seen_users - {key})[:MAX_IDS_IN_ANSWER],
-            "company_sample": sorted(seen_companies)[:MAX_IDS_IN_ANSWER],
-        }
-        return value, t - start_s, coverage
+        return (walk.value(request.key in self.dataset.user_parts),
+                t - start_s, coverage)
 
     # ------------------------------------------------------------ shard calls
     def _call_shard(self, shard_id: int, op: str, keys: List[int],
@@ -778,9 +751,9 @@ class ShardedQueryService(QueryService):
             fragment = data.community_members.get(keys[0], [])
             return list(fragment), 1 + len(fragment), None
         if op == "adjacency":
-            adj = {uid: list(data.follows_out.get(uid, []))
-                   for uid in keys}
-            units = sum(1 + len(v) for v in adj.values())
+            adj = {uid: data.follows_out.targets(uid) for uid in keys}
+            units = sum(1 + len(users) + len(companies)
+                        for users, companies in adj.values())
             return adj, units, None
         raise ConfigError(f"unknown shard op {op!r}")
 

@@ -11,13 +11,15 @@ frontier per claimed slice. And for the §5 community study: a CoDA sweep
 whose Python-level calls grow with the graph, or a Figure 4 pair sample
 drawn one ``randrange`` at a time. And for the durable kernel: an
 ``apply`` whose log write grows with the units before it, or a handle
-that reads back a log record or a lease it wrote itself.
+that reads back a log record or a lease it wrote itself. And for the
+serve tier's build: a follow index that holds a Python object per edge.
 """
 
 import json.encoder
 import posixpath
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.metrics.shared import sampled_shared_sizes
 from repro.net.http import Route
 from repro.serve.alerting import Notification
+from repro.serve.dataset import ServeDataset
 from repro.serve.outbox import DeliveryOutbox, Subscriber
 from repro.sources.angellist import AngelListServer
 from repro.util.clock import SimClock
@@ -458,3 +461,26 @@ def test_an_outbox_drain_reads_no_lease(monkeypatch):
     # lease, release deletes it — and none of them reads it first
     assert sum("/leases/" in path for path, _ in created) == 2 * 30
     assert not [path for path in reads if "/leases/" in path]
+
+
+# ---------------------------------------------------------- the serve build
+def test_the_follow_index_holds_at_most_17_bytes_an_edge(crawled_platform):
+    index = crawled_platform.serve_dataset().follows_out
+    assert index.num_edges > 30_000
+    # every column counted: user ids, row starts, the one-byte type and
+    # the id of each edge, the sorted count keys and their counts
+    assert index.nbytes <= 17 * index.num_edges
+
+
+def test_building_the_serve_dataset_peaks_under_5_5_mb(crawled_platform):
+    ServeDataset.build(crawled_platform.dfs)    # imports, first-use caches
+    tracemalloc.start()
+    try:
+        ServeDataset.build(crawled_platform.dfs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two follow dicts peaked at 7.4 MB on this world: a tuple per
+    # edge and per followed target, held past the build. The index peaks
+    # at 4.4 MB, one follow part's decoded records at a time
+    assert peak < 5_500_000

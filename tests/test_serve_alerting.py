@@ -6,6 +6,7 @@ from repro.dfs.filesystem import MiniDfs
 from repro.dfs.upsert import UpsertDataset
 from repro.serve.alerting import (AlertEvaluator, PredicateIndex,
                                   notification_id, rescan_oracle)
+from repro.serve.dataset import FollowIndex
 from repro.serve.subscriptions import (KIND_COMMUNITY_INVESTOR,
                                        KIND_COMPANY_FUNDING,
                                        KIND_NEIGHBORHOOD_FOLLOW,
@@ -17,7 +18,7 @@ class FakeDataset:
 
     def __init__(self, community_of=None, follows_out=None):
         self.community_of = community_of or {}
-        self.follows_out = follows_out or {}
+        self.follows_out = FollowIndex.from_rows(follows_out or {})
 
 
 class FakeMaintainer:

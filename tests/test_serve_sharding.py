@@ -1,9 +1,11 @@
 """Tests for the sharded scatter-gather serve tier."""
 
+import hashlib
 import json
 
 import pytest
 
+from repro.core.platform import ExploratoryPlatform
 from repro.net.faults import (FAULT_KILL_SHARD, FAULT_PARTITION_SHARD,
                               FAULT_SLOW_REPLICA, FaultSchedule)
 from repro.serve.autoscale import REASON_DEAD, AutoscaleConfig
@@ -17,6 +19,8 @@ from repro.serve.sharding import (ShardConfig, ShardedQueryService,
                                   shard_index_from_json, shard_index_json,
                                   shard_of, slow_replica_target,
                                   split_dataset)
+from repro.world.config import WorldConfig
+from repro.world.generator import generate_world
 
 NUM_SHARDS = 4
 
@@ -99,9 +103,9 @@ class TestSplitDataset:
         assert back.company_parts == shard.company_parts
         assert back.funding == shard.funding
         assert back.user_parts == shard.user_parts
-        assert back.follows_out == {k: list(v) for k, v
-                                    in shard.follows_out.items()}
-        assert back.follower_counts == shard.follower_counts
+        assert back.follows_out == shard.follows_out
+        assert back.follows_out.num_edges \
+            == shard.follows_out.num_edges > 0
         assert back.community_of == shard.community_of
         assert back.community_members == shard.community_members
         assert back.company_spans == shard.company_spans
@@ -109,6 +113,39 @@ class TestSplitDataset:
         assert len(back.company_spans) == len(shard.company_parts) > 0
         # codec output itself is deterministic
         assert shard_index_json(shard) == shard_index_json(back)
+
+
+#: sha256 of ``shard_index_json`` for each of four shards of the seed-7
+#: 1/80 world, as written when the follow graph was still two dicts: the
+#: persisted shard format does not depend on how the index is held
+PINNED_SHARD_SHA256 = [
+    "5e814bb349e043e49144df2593bce42b09cbf7b0ea7d30af1b66fa797e05b8c3",
+    "d55d7cfa2bb1736fe9a6a694703921b46354272ff17b35c9d195772378d0dfa3",
+    "e3875675effb54e608c8a6dd170a69c3b56bee0b5d30919efdca399eea4159aa",
+    "fd725b4ea434b0832d17968b8d85ec0c76fd634fdb4ab402c2c452a40c29b6b7",
+]
+
+
+class TestPersistedShardBytes:
+    @pytest.fixture(scope="class")
+    def small_shards(self):
+        platform = ExploratoryPlatform(
+            generate_world(WorldConfig.small(seed=7)))
+        try:
+            platform.run_full_crawl()
+            yield split_dataset(ServeDataset.build(platform.dfs), NUM_SHARDS)
+        finally:
+            platform.close()
+
+    def test_shard_index_bytes_are_pinned(self, small_shards):
+        assert [hashlib.sha256(shard_index_json(s).encode()).hexdigest()
+                for s in small_shards] == PINNED_SHARD_SHA256
+
+    def test_follow_index_round_trips(self, small_shards):
+        for shard in small_shards:
+            back = shard_index_from_json(shard_index_json(shard))
+            assert back.follows_out == shard.follows_out
+            assert back.follows_out.num_edges > 0
 
 
 class TestOracleEquality:

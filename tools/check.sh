@@ -47,6 +47,19 @@ if grep -nF -e 'json.loads(self.dfs.read_text(' -e 'MANIFEST' \
     exit 1
 fi
 
+echo "== one follow-index layout =="
+# repro.serve.dataset.FollowIndex owns the follow graph's layout (CSR out-
+# rows over a one-byte type column and an id column, sorted count keys);
+# a serve module that builds (dst_type, dst_id) tuples again, or reads
+# the index's columns, is a second layout waiting to drift
+if grep -rnE --include='*.py' -e 'dst_type, dst_id' \
+        -e '\("(user|startup)", ' -e 'follower_counts' \
+        -e '_src_users|_row_starts|_dst_is_user|_dst_ids|_count_keys' \
+        src/repro/serve | grep -v '^src/repro/serve/dataset\.py:'; then
+    echo "follow-index layout handled outside src/repro/serve/dataset.py" >&2
+    exit 1
+fi
+
 echo "== pytest (tier 1) =="
 python -m pytest -x -q "$@"
 
@@ -79,11 +92,16 @@ echo "== counted cost gates (pipeline hot paths) =="
 # before it, and no handle reads back the log records or leases it wrote
 # itself, held with the kernel's differentials (cached handles against
 # fresh replays and against the MANIFEST.json layout they replaced).
+# For the serve build: the follow index holds at most 17 bytes an edge
+# (every column's nbytes) and ServeDataset.build's tracemalloc peak stays
+# under a bound the two-dict fold failed, held with the index against
+# that fold (rows, counts, traversals and every shard split).
 # Part of tier 1 above; run by name so a renamed or deselected module
 # fails the gate
 python -m pytest -q -p no:cacheprovider tests/test_cost_gates.py \
     tests/test_world_dynamics_differential.py tests/test_dfs_namespace_ops.py \
-    tests/test_community_coda_differential.py tests/test_durable.py
+    tests/test_community_coda_differential.py tests/test_durable.py \
+    tests/test_serve_follow_index.py
 
 echo "== benchmark smoke (partition recovery) =="
 # small-scale A5 run: proves losing an executor recomputes strictly
