@@ -13,8 +13,12 @@ drawn one ``randrange`` at a time. And for the durable kernel: an
 ``apply`` whose log write grows with the units before it, or a handle
 that reads back a log record or a lease it wrote itself. And for the
 serve tier's build: a follow index that holds a Python object per edge.
+And a ratchet on the engine's knobs: a new config field or context
+parameter is counted here.
 """
 
+import dataclasses
+import inspect
 import json.encoder
 import posixpath
 import random
@@ -29,6 +33,7 @@ from repro.dfs import jsonlines
 from repro.dfs.filesystem import MiniDfs
 from repro.dfs.jsonlines import encode_record, iter_json_dataset
 from repro.dfs.upsert import UpsertDataset
+from repro.engine.context import SparkLiteContext
 from repro.engine.metrics import STAGE_SHUFFLE, STAGE_TASK
 from repro.graph.bipartite import BipartiteGraph
 from repro.metrics.shared import sampled_shared_sizes
@@ -484,3 +489,12 @@ def test_building_the_serve_dataset_peaks_under_5_5_mb(crawled_platform):
     # edge and per followed target, held past the build. The index peaks
     # at 4.4 MB, one follow part's decoded records at a time
     assert peak < 5_500_000
+
+
+# --------------------------------------------------------- the knob ratchet
+def test_knob_ratchet():
+    # the counts today; removing a knob lowers its bound here, and a
+    # new one has to raise it in plain sight
+    assert len(dataclasses.fields(PlatformConfig)) <= 35
+    params = inspect.signature(SparkLiteContext.__init__).parameters
+    assert len([name for name in params if name != "self"]) <= 20

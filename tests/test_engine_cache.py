@@ -18,6 +18,7 @@ from repro.core.platform import ExploratoryPlatform
 from repro.dfs.filesystem import MiniDfs
 from repro.dfs.jsonlines import decode_lines, write_json_dataset
 from repro.engine.cache import CacheManager
+from repro.engine.checkpoint import CheckpointManager
 from repro.engine.context import SparkLiteContext
 from repro.engine.metrics import STAGE_CACHED, STAGE_TASK
 from repro.engine.planner import DEFAULT_SAMPLE_ROWS
@@ -26,6 +27,54 @@ from repro.util.errors import EngineError
 
 
 PARTS = [[1, 2, 3], [4, 5], []]
+
+#: row shapes a persisted partition must survive verbatim — compared by
+#: ``repr``, so ``True`` may not come back as ``1``, ``1`` as ``1.0`` or
+#: ``-0.0`` as ``0.0``
+ROW_SHAPES = {
+    "empty": [],
+    "ints": [1, -2, 3, 0, 2 ** 62],
+    "floats": [0.5, -1.25, 3e300, float("inf")],
+    "negative_zero": [-0.0, 0.0, (-0.0, 1)],
+    "bools": [True, False, True],
+    "strings": ["", "abc", "γράφω", "x" * 257],
+    "surrogates": ["ok", "\udc80\udcfe"],  # undecodable utf-8 leftovers
+    "bytes": [b"", b"\x00\xff", b"blob" * 40],
+    "none_mixed": [1, None, 3, None],
+    "bool_vs_int": [True, 1, False, 0],
+    "int_vs_float": [1, 1.0, 2],
+    "big_ints": [1 << 70, -(1 << 70), 5],
+    "kv_pairs": [(k % 3, "v" * k) for k in range(20)],
+    "kv_none": [(1, None), (None, 2), (None, None)],
+    "wide_tuples": [(i, float(i), str(i), i % 2 == 0, None)
+                    for i in range(10)],
+    "ragged_tuples": [(1,), (1, 2), (1, 2, 3)],
+    "dict_records": [{"id": i, "name": f"n{i}", "ok": i % 2 == 0,
+                      "score": i / 3.0 if i % 3 else None}
+                     for i in range(12)],
+    "mixed_rows": [1, "two", (3, 4), {"five": 5}, None, [6]],
+    "nested": [([1, 2], {"a": 1}), ((3, (4, (5,))), {"b": 2})],
+}
+
+
+class TestPersistedRoundTrip:
+    """A cache spill and a checkpoint each bring every row shape back
+    from the DFS exactly as it went in."""
+
+    @pytest.mark.parametrize("shape", sorted(ROW_SHAPES))
+    def test_spill_roundtrip(self, shape):
+        rows = ROW_SHAPES[shape]
+        manager = CacheManager(dfs=MiniDfs(num_datanodes=2))
+        manager.put(1, [rows, list(reversed(rows))], storage="dfs")
+        assert manager.stats()["bytes_in_memory"] == 0   # really spilled
+        assert repr(manager.get(1)) == repr([rows, list(reversed(rows))])
+
+    @pytest.mark.parametrize("shape", sorted(ROW_SHAPES))
+    def test_checkpoint_roundtrip(self, shape):
+        rows = ROW_SHAPES[shape]
+        dfs = MiniDfs(num_datanodes=2)
+        CheckpointManager(dfs).put(1, [rows])
+        assert repr(CheckpointManager(dfs).get(1)) == repr([rows])
 
 
 # ----------------------------------------------------------- CacheManager

@@ -95,7 +95,9 @@ echo "== counted cost gates (pipeline hot paths) =="
 # For the serve build: the follow index holds at most 17 bytes an edge
 # (every column's nbytes) and ServeDataset.build's tracemalloc peak stays
 # under a bound the two-dict fold failed, held with the index against
-# that fold (rows, counts, traversals and every shard split).
+# that fold (rows, counts, traversals and every shard split). And the
+# knob ratchet: PlatformConfig fields and SparkLiteContext parameters
+# may not grow (test_knob_ratchet).
 # Part of tier 1 above; run by name so a renamed or deselected module
 # fails the gate
 python -m pytest -q -p no:cacheprovider tests/test_cost_gates.py \
