@@ -24,21 +24,24 @@ reuse a saved world), and is fully offline and deterministic.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.core.platform import ExploratoryPlatform, PlatformConfig
+from repro.util.errors import ConfigError
 from repro.world.config import WorldConfig
 from repro.world.generator import World, generate_world
 
 
 def _add_world_args(parser: argparse.ArgumentParser) -> None:
+    defaults = PlatformConfig()
     parser.add_argument("--scale", type=float, default=0.0125,
                         help="world scale; 1.0 = the paper's 744k crawl")
     parser.add_argument("--seed", type=int, default=20160626)
     parser.add_argument("--world", metavar="FILE",
                         help="load a world saved with 'crawl --save'")
-    parser.add_argument("--engine-backend", default="thread",
+    parser.add_argument("--engine-backend", default=defaults.engine_backend,
                         choices=("serial", "thread", "process"),
                         help="execution backend for the SparkLite engine")
     parser.add_argument("--engine-metrics", metavar="FILE",
@@ -60,25 +63,20 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--chaos-seed", type=int, default=0,
                         help="seed of the fault schedule; same seed, same "
                              "faults")
-    parser.add_argument("--task-retries", type=int, default=1,
+    parser.add_argument("--task-retries", type=int,
+                        default=defaults.task_retries,
                         help="engine per-partition task re-execution budget")
-    parser.add_argument("--shuffle-compress", action="store_true",
-                        help="zlib-compress shuffle blocks above the "
-                             "engine's size threshold")
     parser.add_argument("--engine-columnar", action="store_true",
                         help="run the engine's columnar hot path: "
                              "batch-at-a-time narrow ops, per-batch "
                              "combiners, typed batch shuffle blocks "
                              "(shared-memory backed on the process "
                              "backend); results are byte-identical")
-    parser.add_argument("--batch-rows", type=int, default=4096,
+    parser.add_argument("--batch-rows", type=int,
+                        default=defaults.batch_rows,
                         metavar="ROWS",
                         help="rows per record batch for the columnar "
                              "engine")
-    parser.add_argument("--broadcast-join-threshold", type=int,
-                        default=256 * 1024, metavar="BYTES",
-                        help="broadcast one join side when its serialized "
-                             "size fits under this (0 disables)")
     parser.add_argument("--engine-adaptive", action="store_true",
                         help="adaptive query planning: sample stage "
                              "cardinalities at runtime, coalesce "
@@ -87,15 +85,12 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
                              "from observed sizes; results are "
                              "byte-identical to the static plans")
     parser.add_argument("--target-partition-bytes", type=int,
-                        default=1 << 20, metavar="BYTES",
+                        default=defaults.target_partition_bytes,
+                        metavar="BYTES",
                         help="adaptive planner's post-shuffle partition "
                              "size target (coalesce up / split down "
                              "toward it)")
-    parser.add_argument("--cache-budget", type=int,
-                        default=64 * 1024 * 1024, metavar="BYTES",
-                        help="LRU byte budget for persisted partitions; "
-                             "over-budget entries spill to the DFS")
-    parser.add_argument("--checkpoint-dir", default="/engine/checkpoints",
+    parser.add_argument("--checkpoint-dir", default=defaults.checkpoint_dir,
                         metavar="DFS_DIR",
                         help="DFS directory where RDD.checkpoint() "
                              "persists partitions (lineage truncation)")
@@ -103,7 +98,8 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
                         help="launch deterministic backup attempts for "
                              "straggler partition tasks (first result "
                              "wins, outputs byte-identical)")
-    parser.add_argument("--task-deadline", type=float, default=None,
+    parser.add_argument("--task-deadline", type=float,
+                        default=defaults.task_deadline,
                         metavar="SECONDS",
                         help="per-task zombie deadline; a partition task "
                              "running longer is replaced in-driver")
@@ -118,26 +114,19 @@ def _resolve_world(args: argparse.Namespace) -> World:
 
 def _platform_config(args: argparse.Namespace) -> PlatformConfig:
     from repro.net.faults import FaultSchedule
-    profile = getattr(args, "fault_profile", "none")
     config = PlatformConfig(
-        engine_backend=getattr(args, "engine_backend", "thread"),
-        task_retries=getattr(args, "task_retries", 1),
-        shuffle_compress=getattr(args, "shuffle_compress", False),
-        engine_columnar=getattr(args, "engine_columnar", False),
-        batch_rows=getattr(args, "batch_rows", 4096),
-        broadcast_join_threshold=getattr(
-            args, "broadcast_join_threshold", 256 * 1024),
-        engine_adaptive=getattr(args, "engine_adaptive", False),
-        target_partition_bytes=getattr(
-            args, "target_partition_bytes", 1 << 20),
-        cache_budget=getattr(args, "cache_budget", 64 * 1024 * 1024),
-        checkpoint_dir=getattr(args, "checkpoint_dir",
-                               "/engine/checkpoints"),
-        speculation=getattr(args, "speculation", False),
-        task_deadline=getattr(args, "task_deadline", None),
-        faults=FaultSchedule.from_profile(
-            profile, seed=getattr(args, "chaos_seed", 0)))
-    if profile in ("chaos", "chaos-engine"):
+        engine_backend=args.engine_backend,
+        task_retries=args.task_retries,
+        engine_columnar=args.engine_columnar,
+        batch_rows=args.batch_rows,
+        engine_adaptive=args.engine_adaptive,
+        target_partition_bytes=args.target_partition_bytes,
+        checkpoint_dir=args.checkpoint_dir,
+        speculation=args.speculation,
+        task_deadline=args.task_deadline,
+        faults=FaultSchedule.from_profile(args.fault_profile,
+                                          seed=args.chaos_seed))
+    if args.fault_profile in ("chaos", "chaos-engine"):
         # survive brownout windows: retry harder, decorrelate workers
         config.client_max_retries = 10
         config.client_backoff_jitter = 0.25
@@ -146,7 +135,7 @@ def _platform_config(args: argparse.Namespace) -> PlatformConfig:
 
 def _dump_engine_metrics(platform: ExploratoryPlatform,
                          args: argparse.Namespace) -> None:
-    path = getattr(args, "engine_metrics", None)
+    path = args.engine_metrics
     if not path:
         return
     with open(path, "w", encoding="utf-8") as handle:
@@ -155,11 +144,21 @@ def _dump_engine_metrics(platform: ExploratoryPlatform,
           f"written to {path}")
 
 
-def _crawled_platform(args: argparse.Namespace) -> ExploratoryPlatform:
-    platform = ExploratoryPlatform(_resolve_world(args),
-                                   config=_platform_config(args))
-    platform.run_full_crawl()
-    return platform
+@contextlib.contextmanager
+def _crawled_platform(args: argparse.Namespace,
+                      world: Optional[World] = None,
+                      ) -> Iterator[ExploratoryPlatform]:
+    """A platform over ``world`` (default: the flags' world) that has run
+    the full crawl; on exit it dumps ``--engine-metrics`` and closes."""
+    platform = ExploratoryPlatform(
+        world if world is not None else _resolve_world(args),
+        config=_platform_config(args))
+    try:
+        platform.run_full_crawl()
+        yield platform
+    finally:
+        _dump_engine_metrics(platform, args)
+        platform.close()
 
 
 def cmd_crawl(args: argparse.Namespace) -> int:
@@ -168,26 +167,23 @@ def cmd_crawl(args: argparse.Namespace) -> int:
         from repro.world.io import save_world
         save_world(world, args.save)
         print(f"world saved to {args.save}")
-    platform = ExploratoryPlatform(world, config=_platform_config(args))
-    summary = platform.run_full_crawl()
-    bfs = summary.angellist
-    print(f"crawled {bfs.startups:,} startups and {bfs.users:,} users "
-          f"in {len(bfs.rounds)} BFS rounds "
-          f"({bfs.client_stats.requests:,} requests, "
-          f"{bfs.sim_duration / 3600:.1f} simulated hours)")
-    print(f"augmented {summary.crunchbase.records:,} CrunchBase orgs "
-          f"({summary.crunchbase.matched_by_url:,} by URL, "
-          f"{summary.crunchbase.matched_by_search:,} by name search)")
-    print(f"enriched {summary.facebook.fetched:,} Facebook pages and "
-          f"{summary.twitter.fetched:,} Twitter profiles")
-    _dump_engine_metrics(platform, args)
-    platform.close()
+    with _crawled_platform(args, world) as platform:
+        summary = platform.crawl_summary
+        bfs = summary.angellist
+        print(f"crawled {bfs.startups:,} startups and {bfs.users:,} users "
+              f"in {len(bfs.rounds)} BFS rounds "
+              f"({bfs.client_stats.requests:,} requests, "
+              f"{bfs.sim_duration / 3600:.1f} simulated hours)")
+        print(f"augmented {summary.crunchbase.records:,} CrunchBase orgs "
+              f"({summary.crunchbase.matched_by_url:,} by URL, "
+              f"{summary.crunchbase.matched_by_search:,} by name search)")
+        print(f"enriched {summary.facebook.fetched:,} Facebook pages and "
+              f"{summary.twitter.fetched:,} Twitter profiles")
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    platform = _crawled_platform(args)
-    try:
+    with _crawled_platform(args) as platform:
         if args.what == "engagement":
             table = platform.run_plugin("engagement_table")
             print(table.render())
@@ -221,23 +217,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 print(f"  {name:<22} {coef:+.3f}")
         else:  # pragma: no cover - argparse restricts choices
             raise AssertionError(args.what)
-    finally:
-        _dump_engine_metrics(platform, args)
-        platform.close()
     return 0
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
     from repro.core.theories import TheoryEngine
-    platform = _crawled_platform(args)
-    try:
+    with _crawled_platform(args) as platform:
         engine = TheoryEngine.over_platform(platform)
         for hypothesis in args.hypotheses:
             print(engine.test(hypothesis).render())
             print()
-    finally:
-        _dump_engine_metrics(platform, args)
-        platform.close()
     return 0
 
 
@@ -258,17 +247,34 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     closed = sum(s.rounds_closed for s in history)
     print(f"tracked {history[-1].tracked} startups over {args.days} days; "
           f"{closed} rounds closed")
-    result = analyze_snapshots(dfs, window=args.window)
+    result = analyze_snapshots(dfs)
     print(f"pre-event engagement lift: {result.pre_event_lift:.2f}x")
     print(f"post-event follower bump: "
           f"+{result.post_event_follower_bump:.0f}")
     return 0
 
 
+def _subscriptions(args: argparse.Namespace) -> List[tuple]:
+    """``(tenant, kind, key)`` of every ``--subscribe`` spec."""
+    from repro.serve.subscriptions import SUBSCRIPTION_KINDS
+
+    specs = []
+    for spec in args.subscribe:
+        parts = spec.split(":")
+        if len(parts) not in (2, 3) or parts[0] not in SUBSCRIPTION_KINDS \
+                or not parts[1].lstrip("-").isdigit():
+            raise ConfigError(
+                f"--subscribe takes KIND:KEY[:TENANT] with KIND one of "
+                f"{', '.join(SUBSCRIPTION_KINDS)}; got {spec!r}")
+        tenant = parts[2] if len(parts) == 3 else "default"
+        specs.append((tenant, parts[0], int(parts[1])))
+    return specs
+
+
 def _alerting_setup(platform: ExploratoryPlatform,
-                    args: argparse.Namespace):
-    """Register --subscribe/--subscribers standing queries and return
-    (registry, evaluator, outbox), or None on a malformed spec."""
+                    args: argparse.Namespace, specs: List[tuple]):
+    """Register the standing queries (``specs`` plus ``--subscribers``
+    synthetic ones) and return (registry, evaluator, outbox)."""
     import random
 
     from repro.serve.outbox import Subscriber
@@ -284,16 +290,8 @@ def _alerting_setup(platform: ExploratoryPlatform,
             sub.subscriber_id,
             Subscriber(sub.subscriber_id, tenant=sub.tenant))
 
-    for spec in args.subscribe:
-        parts = spec.split(":")
-        if len(parts) not in (2, 3) or parts[0] not in SUBSCRIPTION_KINDS \
-                or not parts[1].lstrip("-").isdigit():
-            print(f"--subscribe takes KIND:KEY[:TENANT] with KIND one of "
-                  f"{', '.join(SUBSCRIPTION_KINDS)}; got {spec!r}",
-                  file=sys.stderr)
-            return None
-        tenant = parts[2] if len(parts) == 3 else "default"
-        ensure(registry.register(tenant, parts[0], int(parts[1])))
+    for tenant, kind, key in specs:
+        ensure(registry.register(tenant, kind, key))
     if args.subscribers:
         dataset = platform.serve_dataset()
         rng = random.Random(args.seed)
@@ -317,6 +315,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     from repro.net.faults import FaultSchedule
     from repro.util.errors import IngestKilled
 
+    specs = _subscriptions(args)
+    unit, sep, state = (args.kill_at or "").partition("@")
+    if args.kill_at and (not sep or state not in CRASH_STATES):
+        raise ConfigError(f"--kill-at takes UNIT@STATE with STATE one of "
+                          f"{', '.join(CRASH_STATES)}")
     platform = ExploratoryPlatform(_resolve_world(args),
                                    config=_platform_config(args))
     platform.config.beat_interval_s = args.beat_interval
@@ -327,18 +330,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             args.alert_chaos, seed=args.chaos_seed)
     try:
         alerting = outbox = None
-        if args.subscribe or args.subscribers:
-            setup = _alerting_setup(platform, args)
-            if setup is None:
-                return 2
-            _, alerting, outbox = setup
+        if specs or args.subscribers:
+            _, alerting, outbox = _alerting_setup(platform, args, specs)
         scheduler = platform.ingest_pipeline(alerting=alerting)
         if args.kill_at:
-            unit, sep, state = args.kill_at.partition("@")
-            if not sep or state not in CRASH_STATES:
-                print(f"--kill-at takes UNIT@STATE with STATE one of "
-                      f"{', '.join(CRASH_STATES)}", file=sys.stderr)
-                return 2
             if scheduler.faults is None:
                 scheduler.faults = FaultSchedule.none()
             scheduler.faults.force_ingest_kill(unit, state)
@@ -397,8 +392,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     from repro.viz.ascii import ascii_cdf, ascii_histogram
 
     os.makedirs(args.out, exist_ok=True)
-    platform = _crawled_platform(args)
-    try:
+    with _crawled_platform(args) as platform:
         def write(name: str, content: str) -> None:
             path = os.path.join(args.out, name)
             with open(path, "w", encoding="utf-8") as handle:
@@ -443,9 +437,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
                 "randomized_pct": study.randomized_mean_shared_pct},
         }
         write("summary.json", json.dumps(summary, indent=2) + "\n")
-    finally:
-        _dump_engine_metrics(platform, args)
-        platform.close()
     return 0
 
 
@@ -487,33 +478,46 @@ def _add_serve_args(parser: argparse.ArgumentParser) -> None:
                              "replica autoscaler")
 
 
-def _shard_objects(args: argparse.Namespace):
-    """(shard_config, tenants, autoscale) from the serve CLI flags."""
+def _serve_objects(args: argparse.Namespace) -> tuple:
+    """(serve_config, shard_config, tenants, autoscale) from the serve
+    flags; raises :class:`ConfigError` before any world is generated."""
     from repro.serve.autoscale import AutoscaleConfig
+    from repro.serve.service import ServeConfig
     from repro.serve.sharding import ShardConfig
     from repro.serve.tenancy import default_tenants
 
+    config = ServeConfig(qps_limit=args.qps_limit,
+                         queue_depth=args.queue_depth,
+                         workers=args.serve_workers,
+                         default_deadline_s=args.default_deadline,
+                         stale_ttl_s=args.stale_ttl)
     if args.shards <= 0:
-        return None, None, None
+        return config, None, None, None
     shard_config = ShardConfig(num_shards=args.shards,
                                replicas=args.shard_replicas)
     tenants = None
     if args.fair_share and args.tenants > 1:
         weights = ()
         if args.tenant_weights:
-            weights = [float(w) for w in args.tenant_weights.split(",")]
+            try:
+                weights = [float(w) for w in args.tenant_weights.split(",")]
+            except ValueError:
+                raise ConfigError(f"--tenant-weights takes numbers, got "
+                                  f"{args.tenant_weights!r}") from None
         tenants = default_tenants(args.tenants, weights)
     autoscale = AutoscaleConfig() if args.autoscale else None
-    return shard_config, tenants, autoscale
+    return config, shard_config, tenants, autoscale
 
 
-def _serve_config(args: argparse.Namespace):
-    from repro.serve.service import ServeConfig
-    return ServeConfig(qps_limit=args.qps_limit,
-                       queue_depth=args.queue_depth,
-                       workers=args.serve_workers,
-                       default_deadline_s=args.default_deadline,
-                       stale_ttl_s=args.stale_ttl)
+def _query_service(platform: ExploratoryPlatform, objects: tuple,
+                   faults=None):
+    """The single-node or sharded query service ``objects`` describe."""
+    config, shard_config, tenants, autoscale = objects
+    if shard_config is None:
+        return platform.query_service(config=config, faults=faults)
+    return platform.sharded_query_service(
+        config=config, shard_config=shard_config, tenants=tenants,
+        autoscale=autoscale, faults=faults)
 
 
 def _apply_serve_latencies(platform: ExploratoryPlatform,
@@ -528,17 +532,12 @@ def _apply_serve_latencies(platform: ExploratoryPlatform,
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.loadgen import LoadProfile, generate_schedule
 
-    platform = _crawled_platform(args)
-    try:
+    objects = _serve_objects(args)
+    _, _, tenants, _ = objects
+    with _crawled_platform(args) as platform:
         dataset = platform.serve_dataset()
         _apply_serve_latencies(platform, args)
-        shard_config, tenants, autoscale = _shard_objects(args)
-        if shard_config is not None:
-            service = platform.sharded_query_service(
-                config=_serve_config(args), shard_config=shard_config,
-                tenants=tenants, autoscale=autoscale)
-        else:
-            service = platform.query_service(config=_serve_config(args))
+        service = _query_service(platform, objects)
         profile = LoadProfile(qps=max(1.0, args.qps_limit / 2),
                               duration_s=max(1.0,
                                              args.queries / args.qps_limit),
@@ -556,8 +555,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"{metrics.shed} shed; p50 {1000 * metrics.p50():.1f} ms, "
               f"p99 {1000 * metrics.p99():.1f} ms; "
               f"health={service.health.state}")
-    finally:
-        platform.close()
     return 0
 
 
@@ -565,8 +562,9 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.net.faults import FAULT_BROWNOUT, FaultSchedule
     from repro.serve.loadgen import LoadProfile, run_bench
 
-    platform = _crawled_platform(args)
-    try:
+    objects = _serve_objects(args)
+    _, shard_config, tenants, _ = objects
+    with _crawled_platform(args) as platform:
         dataset = platform.serve_dataset()
         _apply_serve_latencies(platform, args)
         if args.serve_shard_chaos > 0:
@@ -579,15 +577,8 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             faults = FaultSchedule.none()
         if args.brownout_at is not None:
             faults.force_window(FAULT_BROWNOUT, start=args.brownout_at,
-                                span=args.brownout_span, duration=0.4)
-        shard_config, tenants, autoscale = _shard_objects(args)
-        if shard_config is not None:
-            service = platform.sharded_query_service(
-                config=_serve_config(args), shard_config=shard_config,
-                tenants=tenants, autoscale=autoscale, faults=faults)
-        else:
-            service = platform.query_service(config=_serve_config(args),
-                                             faults=faults)
+                                span=20, duration=0.4)
+        service = _query_service(platform, objects, faults)
         profile = LoadProfile(qps=args.qps_limit * args.overload,
                               duration_s=args.duration,
                               seed=args.serve_seed,
@@ -628,15 +619,12 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             with open(args.json, "w", encoding="utf-8") as handle:
                 handle.write(report.to_json() + "\n")
             print(f"report written to {args.json}")
-    finally:
-        platform.close()
     return 0
 
 
 def cmd_select_communities(args: argparse.Namespace) -> int:
     from repro.community.selection import select_num_communities
-    platform = _crawled_platform(args)
-    try:
+    with _crawled_platform(args) as platform:
         graph = platform.investor_graph().filter_investors(4)
         result = select_num_communities(graph, args.candidates,
                                         seed=args.seed)
@@ -644,9 +632,6 @@ def cmd_select_communities(args: argparse.Namespace) -> int:
         for num, auc in result.ranked():
             marker = "  ← best" if num == result.best_num_communities else ""
             print(f"  C={num:<4} AUC={auc:.3f}{marker}")
-    finally:
-        _dump_engine_metrics(platform, args)
-        platform.close()
     return 0
 
 
@@ -680,7 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot = sub.add_parser("snapshot", help="longitudinal study")
     _add_world_args(snapshot)
     snapshot.add_argument("--days", type=int, default=30)
-    snapshot.add_argument("--window", type=int, default=3)
     snapshot.add_argument("--hazard", type=float, default=0.02)
     snapshot.set_defaults(fn=cmd_snapshot)
 
@@ -764,10 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed of the arrival schedule")
     bench.add_argument("--brownout-at", type=int, default=None,
                        metavar="INDEX",
-                       help="force a backend brownout window starting at "
-                            "this backend-request index")
-    bench.add_argument("--brownout-span", type=int, default=20,
-                       help="length of the forced brownout window")
+                       help="force a 20-request backend brownout window "
+                            "starting at this backend-request index")
     bench.add_argument("--serve-chaos", type=float, default=0.0,
                        metavar="INTENSITY",
                        help="seeded request-path fault intensity "
@@ -786,7 +768,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -33,9 +33,6 @@ from repro.world.generator import World, generate_world
 class PlatformConfig:
     """Operational knobs of the platform (not the world)."""
 
-    angellist_tokens: int = 8
-    twitter_tokens: int = 10
-    twitter_workers: int = 5
     engine_parallelism: int = 4
     #: "serial" / "thread" / "process" (see repro.engine.backends)
     engine_backend: str = "thread"
@@ -75,7 +72,6 @@ class PlatformConfig:
     speculation: bool = False
     #: DFS directory backing RDD.checkpoint() on the platform context
     checkpoint_dir: str = "/engine/checkpoints"
-    dfs_datanodes: int = 4
     records_per_part: int = 5000
     latency: LatencyModel = field(default_factory=LatencyModel.zero)
     #: a FaultPlan or (composable, seeded) FaultSchedule
@@ -88,20 +84,12 @@ class PlatformConfig:
     #: consecutive failures before a source's circuit breaker opens
     #: (<= 0 disables breakers entirely)
     breaker_failure_threshold: int = 5
-    #: base cooldown of an opened breaker, in simulated seconds
-    breaker_cooldown_s: float = 30.0
     #: park budget-exhausted enrichment requests for replay instead of
     #: failing the crawl
     dead_letters: bool = True
-    #: replay passes attempted before leaving letters parked
-    replay_passes: int = 5
-    #: poison letters are quarantined after this many failed replays
-    dead_letter_max_attempts: int = 5
     # ---- continuous ingest (see DESIGN.md "Durable continuous ingest") --
     #: simulated seconds between scheduler beats
     beat_interval_s: float = 60.0
-    #: lease time-to-live for ingest work units
-    ingest_lease_ttl_s: float = 150.0
     #: frontier entities expanded per ingest work unit
     frontier_batch: int = 16
     #: compact the upsert datasets every N completed days (0 = never)
@@ -111,8 +99,6 @@ class PlatformConfig:
     max_delivery_attempts: int = 5
     #: base of the outbox's deterministic jittered backoff (sim seconds)
     alert_retry_base_s: float = 5.0
-    #: partitions of the standing-query predicate index (shard_of)
-    alert_shards: int = 4
 
 
 @dataclass
@@ -157,7 +143,7 @@ class ExploratoryPlatform:
         self.hub = SourceHub.from_world(world, clock=self.clock,
                                         latency=self.config.latency,
                                         faults=self.config.faults)
-        self.dfs = MiniDfs(num_datanodes=self.config.dfs_datanodes)
+        self.dfs = MiniDfs()
         self.sc = SparkLiteContext(
             parallelism=self.config.engine_parallelism,
             backend=self.config.engine_backend,
@@ -181,16 +167,14 @@ class ExploratoryPlatform:
         #: one circuit breaker per source, shared by that source's workers
         self.breakers: Dict[str, Optional[CircuitBreaker]] = {
             name: breaker_for(self.clock, name,
-                              self.config.breaker_failure_threshold,
-                              self.config.breaker_cooldown_s)
+                              self.config.breaker_failure_threshold)
             for name in ("angellist", "crunchbase", "facebook", "twitter")}
         #: per-source dead-letter queues (enrichment crawls only)
         self.dead_letter_queues: Dict[str, DeadLetterQueue] = {}
         if self.config.dead_letters:
             self.dead_letter_queues = {
-                name: DeadLetterQueue(
-                    self.dfs, root=f"/crawl/deadletters/{name}",
-                    max_attempts=self.config.dead_letter_max_attempts)
+                name: DeadLetterQueue(self.dfs,
+                                      root=f"/crawl/deadletters/{name}")
                 for name in ("facebook", "twitter")}
         self.plugins = PluginRegistry()
         #: one dynamics timeline per platform: the world's evolution is
@@ -219,7 +203,7 @@ class ExploratoryPlatform:
                               "one for a fresh crawl")
         cfg = self.config
         al_tokens = [self.hub.angellist.issue_token(f"bfs-{i}")
-                     for i in range(cfg.angellist_tokens)]
+                     for i in range(8)]
         # the BFS frontier needs every response inline (each one expands
         # the frontier), so its client retries hard but never dead-letters
         al_client = ApiClient(self.hub.angellist, self.clock,
@@ -253,8 +237,6 @@ class ExploratoryPlatform:
         facebook = fb_crawler.run()
         tw_crawler = TwitterCrawler(
             self.hub.twitter, self.clock, self.dfs,
-            num_tokens=cfg.twitter_tokens,
-            num_workers=cfg.twitter_workers,
             records_per_part=cfg.records_per_part,
             max_retries=cfg.client_max_retries,
             backoff_jitter=cfg.client_backoff_jitter,
@@ -268,7 +250,7 @@ class ExploratoryPlatform:
                                 (tw_crawler, twitter)):
             if crawler.dead_letters is None:
                 continue
-            for _ in range(cfg.replay_passes):
+            for _ in range(5):  # replay passes before letters stay parked
                 if len(crawler.dead_letters) == 0:
                     break
                 crawler.replay(result)
@@ -347,7 +329,6 @@ class ExploratoryPlatform:
             self.hub, self._ingest_dynamics, self.dfs, sc=self.sc,
             root=root,
             beat_interval_s=cfg.beat_interval_s,
-            lease_ttl_s=cfg.ingest_lease_ttl_s,
             owner=owner,
             faults=faults,
             frontier_batch=cfg.frontier_batch,
@@ -388,7 +369,6 @@ class ExploratoryPlatform:
             max_delivery_attempts=cfg.max_delivery_attempts,
             retry_base_s=cfg.alert_retry_base_s)
         evaluator = AlertEvaluator(registry, self.serve_dataset(),
-                                   num_shards=cfg.alert_shards,
                                    outbox=outbox)
         return registry, evaluator, outbox
 

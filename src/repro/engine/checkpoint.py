@@ -22,12 +22,12 @@ instead, which is always safe.
 
 from __future__ import annotations
 
-import json
 import pickle
 import zlib
 from collections import Counter
 from typing import Any, List, Optional
 
+from repro.durable import read_doc, write_doc
 from repro.engine.cache import BLOB_READ_ERRORS
 
 #: manifest schema version, bumped on layout changes
@@ -74,9 +74,8 @@ class CheckpointManager:
             payload = zlib.compress(
                 pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL))
             self.dfs.write_atomic(self._part_path(key, index), payload)
-        manifest = {"parts": len(partitions), "version": _VERSION}
-        self.dfs.write_atomic_text(self._meta_path(key),
-                                   json.dumps(manifest))
+        write_doc(self.dfs, self._meta_path(key),
+                  {"parts": len(partitions), "version": _VERSION})
         self.writes += 1
 
     def get(self, key: int) -> Optional[List[List[Any]]]:
@@ -116,7 +115,7 @@ class CheckpointManager:
         if not self.dfs.exists(path):
             return None
         try:
-            manifest = json.loads(self.dfs.read_text(path))
+            manifest = read_doc(self.dfs, path)
         except BLOB_READ_ERRORS as error:
             self._count_unreadable(error)
             return None

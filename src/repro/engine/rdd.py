@@ -387,7 +387,6 @@ class RDD(Generic[T]):
         self.join_how = join_how
         self.wide = wide or shuffle is not None or join_how is not None
         self.name = name
-        self._cached: Optional[List[List[T]]] = None
         self._cache_requested = False
         self._storage_level = "memory"
         self._checkpoint_requested = False
@@ -430,7 +429,7 @@ class RDD(Generic[T]):
         Unlike Spark there is no separate ``persist`` requirement:
         checkpointing alone is enough for later jobs to reuse the data.
         """
-        if getattr(self.context, "checkpoint_manager", None) is None:
+        if self.context.checkpoint_manager is None:
             raise EngineError(
                 "checkpoint() needs a checkpoint directory; construct the "
                 "context with checkpoint_dir=... or call "
@@ -441,15 +440,12 @@ class RDD(Generic[T]):
     @property
     def is_checkpointed(self) -> bool:
         """True once a committed checkpoint exists for this RDD."""
-        manager = getattr(self.context, "checkpoint_manager", None)
+        manager = self.context.checkpoint_manager
         return manager is not None and self.rdd_id in manager
 
     def unpersist(self) -> "RDD[T]":
-        self._cached = None
         self._cache_requested = False
-        manager = getattr(self.context, "cache_manager", None)
-        if manager is not None:
-            manager.unpersist(self.rdd_id)
+        self.context.cache_manager.unpersist(self.rdd_id)
         return self
 
     # -------------------------------------------------------- narrow transforms
@@ -503,7 +499,7 @@ class RDD(Generic[T]):
                  combiner: Optional[Callable] = None,
                  plan: Optional[Callable] = None) -> "RDD[U]":
         parts = num_partitions or self.num_partitions
-        if not getattr(self.context, "shuffle_combine", True):
+        if not self.context.shuffle_combine:
             combiner = None
         return RDD(self.context, parts, (self,),
                    shuffle=ShuffleSpec(bucket_fn, post, combiner, plan),
@@ -535,7 +531,7 @@ class RDD(Generic[T]):
         accumulator, ``comb`` merges two accumulators — with combining
         on, ``seq`` runs map-side and ``comb`` merges the shipped
         partials (Spark's combineByKey contract)."""
-        if getattr(self.context, "shuffle_combine", True):
+        if self.context.shuffle_combine:
             return self._shuffle(num_partitions, _pair_key,
                                  _ReduceByKeyOp(comb), "aggregateByKey",
                                  combiner=_AggregateByKeyOp(zero, seq, comb))
@@ -548,7 +544,7 @@ class RDD(Generic[T]):
 
         With combining on, each map task ships one ``(k, n)`` partial
         per distinct key instead of every raw pair."""
-        if getattr(self.context, "shuffle_combine", True):
+        if self.context.shuffle_combine:
             return self._shuffle(num_partitions, _pair_key,
                                  _ReduceByKeyOp(operator.add), "countByKey",
                                  combiner=_CountPairsOp())
@@ -757,17 +753,17 @@ class JobRunner:
         #: batch's ``stage_key`` stable across reruns of the same program
         #: (RDD ids are process-global, so they would not be), which is
         #: what keeps injected engine faults seed-deterministic.
-        self.job_serial = getattr(context, "jobs_run", 0)
+        self.job_serial = context.jobs_run
         #: shared-memory exchange: a job-scoped segment registry when the
         #: context's columnar engine decided shm is on, else None (all
         #: sealed payloads then travel inline through pickle walls)
         self.shm_registry = None
-        if getattr(context, "shm_enabled", False):
+        if context.shm_enabled:
             from repro.engine.columnar import ShmRegistry
             self.shm_registry = ShmRegistry()
         #: adaptive planning (engine_adaptive=True): the context's
         #: AdaptivePlanner and a job-scoped StatsCollector
-        self.adaptive = getattr(context, "adaptive_planner", None)
+        self.adaptive = context.adaptive_planner
         self.stats = (StatsCollector(self.adaptive.sample_rows,
                                      metrics=self.metrics)
                       if self.adaptive is not None else None)
@@ -797,14 +793,12 @@ class JobRunner:
         A committed checkpoint counts: it is a materialized lineage
         boundary exactly like a cache entry, just durable.
         """
-        if rdd.rdd_id in self._partitions or rdd._cached is not None:
+        if rdd.rdd_id in self._partitions:
             return True
-        if rdd._cache_requested:
-            manager = getattr(self.context, "cache_manager", None)
-            if manager is not None and rdd.rdd_id in manager:
-                return True
+        if rdd._cache_requested and rdd.rdd_id in self.context.cache_manager:
+            return True
         if rdd._checkpoint_requested:
-            ckpt = getattr(self.context, "checkpoint_manager", None)
+            ckpt = self.context.checkpoint_manager
             if ckpt is not None and rdd.rdd_id in ckpt:
                 return True
         return False
@@ -819,14 +813,14 @@ class JobRunner:
         """
         if rdd.rdd_id in self._partitions:
             return True
-        results = rdd._cached
+        results = None
         kind = STAGE_CACHED
-        if results is None and rdd._cache_requested:
-            manager = getattr(self.context, "cache_manager", None)
-            if manager is not None and rdd.rdd_id in manager:
+        if rdd._cache_requested:
+            manager = self.context.cache_manager
+            if rdd.rdd_id in manager:
                 results = manager.get(rdd.rdd_id)
         if results is None and rdd._checkpoint_requested:
-            ckpt = getattr(self.context, "checkpoint_manager", None)
+            ckpt = self.context.checkpoint_manager
             if ckpt is not None:
                 results = ckpt.get(rdd.rdd_id)
                 kind = STAGE_CHECKPOINT
@@ -837,11 +831,8 @@ class JobRunner:
         return True
 
     def _store_cache(self, rdd: RDD, results: List[List[Any]]) -> None:
-        manager = getattr(self.context, "cache_manager", None)
-        if manager is not None:
-            manager.put(rdd.rdd_id, results, storage=rdd._storage_level)
-        else:
-            rdd._cached = results
+        self.context.cache_manager.put(rdd.rdd_id, results,
+                                       storage=rdd._storage_level)
 
     def _lineage(self, rdd: RDD) -> List[RDD]:
         """Ancestors-first topological order, pruned at cached nodes."""
@@ -993,7 +984,7 @@ class JobRunner:
         self.metrics.record_stage(stage)
 
     def _store_checkpoint(self, rdd: RDD, results: List[List[Any]]) -> None:
-        ckpt = getattr(self.context, "checkpoint_manager", None)
+        ckpt = self.context.checkpoint_manager
         if ckpt is None or rdd.rdd_id in ckpt:
             return
         ckpt.put(rdd.rdd_id, results)
@@ -1106,12 +1097,8 @@ class JobRunner:
         """Wrap an elementwise partition op for batch-at-a-time execution
         when the context runs columnar; whole-partition ops pass through
         untouched (batching them would change their results)."""
-        context = self.context
-        if (getattr(context, "engine_columnar", False)
-                and getattr(op, "elementwise", False)):
-            batch_rows = getattr(context, "batch_rows", 0)
-            if batch_rows and batch_rows > 0:
-                return _BatchedOp(op, batch_rows)
+        if self.context.engine_columnar and getattr(op, "elementwise", False):
+            return _BatchedOp(op, self.context.batch_rows)
         return op
 
     # ---------------------------------------------------------------- shuffles
@@ -1154,17 +1141,17 @@ class JobRunner:
         """
         context = self.context
         backend = context.backend
-        compress = getattr(context, "shuffle_compress", False)
-        columnar = bool(getattr(context, "engine_columnar", False))
+        compress = context.shuffle_compress
+        columnar = context.engine_columnar
         shm_prefix = (self.shm_registry.prefix
                       if self.shm_registry is not None else None)
         seal = bool(getattr(backend, "shuffle_blocks", False) or compress
                     or shm_prefix)
         op = MapShuffleTask(
             partitioner, num_buckets, combiner, seal, compress,
-            getattr(context, "shuffle_compress_threshold", 4096),
+            context.shuffle_compress_threshold,
             columnar=columnar,
-            batch_rows=getattr(context, "batch_rows", 0) if columnar else 0,
+            batch_rows=context.batch_rows if columnar else 0,
             merge=merge if columnar else None,
             shm_prefix=shm_prefix)
         offsets = []
@@ -1215,7 +1202,7 @@ class JobRunner:
         right_parts = self.all_partitions(right)
         num_buckets = rdd.num_partitions
         backend = self.context.backend
-        threshold = getattr(self.context, "broadcast_join_threshold", 0) or 0
+        threshold = self.context.broadcast_join_threshold
         pick = None
         if self.adaptive is not None:
             pick = self._adaptive_broadcast_side(left, right, left_parts,

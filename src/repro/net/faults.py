@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.util.rng import derive_seed
 
@@ -73,6 +73,39 @@ SHARD_FAULTS = (FAULT_KILL_SHARD, FAULT_PARTITION_SHARD, FAULT_SLOW_REPLICA)
 INGEST_FAULTS = (FAULT_KILL_INGEST, FAULT_LEASE_EXPIRY)
 ALERT_FAULTS = (FAULT_KILL_SUBSCRIBER, FAULT_DROP_ACK, FAULT_DUP_DELIVER)
 
+#: spec families: each is a public list attribute of a FaultSchedule,
+#: consumed by its own tier's hook — ``specs`` by SimServer
+#: (:meth:`~FaultSchedule.fault_at`), ``engine_specs`` by the task
+#: supervisor, ``serve_specs`` / ``shard_specs`` by the query tier,
+#: ``ingest_specs`` by the continuous scheduler at ledger protocol steps
+#: and ``alert_specs`` by the delivery outbox at delivery-attempt steps
+FAMILIES = (("specs", WINDOW_FAULTS + POINT_FAULTS),
+            ("engine_specs", ENGINE_FAULTS),
+            ("serve_specs", SERVE_FAULTS),
+            ("shard_specs", SHARD_FAULTS),
+            ("ingest_specs", INGEST_FAULTS),
+            ("alert_specs", ALERT_FAULTS))
+_FAMILY_OF = {kind: family for family, kinds in FAMILIES for kind in kinds}
+
+#: ``--fault-profile`` name → the presets it layers (each at intensity 1)
+PROFILES: Dict[str, Tuple[str, ...]] = {
+    "none": (),
+    "flaky": ("flaky",),
+    "chaos": ("chaos",),
+    "chaos-engine": ("chaos", "engine_chaos"),
+    "serve-chaos": ("serve_chaos",),
+    "serve-shard-chaos": ("serve_shard_chaos",),
+    "chaos-ingest": ("ingest_chaos",),
+    "alert-chaos": ("alert_chaos",),
+}
+
+
+def _intensity(intensity: float) -> float:
+    """A preset's intensity multiplier, checked."""
+    if intensity < 0:
+        raise ValueError(f"intensity must be >= 0, got {intensity}")
+    return intensity
+
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -119,9 +152,7 @@ class FaultSpec:
     span: int = 0
 
     def __post_init__(self):
-        if self.kind not in (POINT_FAULTS + WINDOW_FAULTS + ENGINE_FAULTS
-                             + SERVE_FAULTS + SHARD_FAULTS + INGEST_FAULTS
-                             + ALERT_FAULTS):
+        if self.kind not in _FAMILY_OF:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if not 0.0 <= self.rate < 1.0:
             raise ValueError(f"rate must be in [0, 1), got {self.rate}")
@@ -147,30 +178,12 @@ class FaultSchedule:
     """
 
     def __init__(self, specs: Sequence[FaultSpec] = (), seed: int = 0):
-        #: engine-level specs live apart: they claim *task* keys through
-        #: :meth:`engine_fault_at`, never network request indexes
-        self.engine_specs: List[FaultSpec] = [
-            s for s in specs if s.kind in ENGINE_FAULTS]
-        #: serve-level specs live apart too: consumed by the query tier
-        #: through :meth:`serve_fault_at`, never by SimServer
-        self.serve_specs: List[FaultSpec] = [
-            s for s in specs if s.kind in SERVE_FAULTS]
-        #: shard-level specs: consumed by the scatter-gather coordinator
-        #: through :meth:`shard_faults_at`, never by SimServer
-        self.shard_specs: List[FaultSpec] = [
-            s for s in specs if s.kind in SHARD_FAULTS]
-        #: ingest-level specs: consumed by the continuous scheduler
-        #: through :meth:`ingest_fault_at` at ledger protocol steps
-        self.ingest_specs: List[FaultSpec] = [
-            s for s in specs if s.kind in INGEST_FAULTS]
-        #: alert-level specs: consumed by the delivery outbox through
-        #: :meth:`alert_fault_at` at delivery-attempt steps
-        self.alert_specs: List[FaultSpec] = [
-            s for s in specs if s.kind in ALERT_FAULTS]
-        self.specs: List[FaultSpec] = [
-            s for s in specs
-            if s.kind not in (ENGINE_FAULTS + SERVE_FAULTS + SHARD_FAULTS
-                              + INGEST_FAULTS + ALERT_FAULTS)]
+        # one list attribute per family (``specs``, ``engine_specs`` …,
+        # see FAMILIES), each in declaration order
+        for family, _ in FAMILIES:
+            setattr(self, family, [])
+        for spec in specs:
+            getattr(self, _FAMILY_OF[spec.kind]).append(spec)
         self.seed = seed
         #: deterministic windows forced by a test/benchmark regardless of
         #: the probabilistic schedule: (start, end, spec) half-open ranges
@@ -199,9 +212,7 @@ class FaultSchedule:
     @classmethod
     def chaos(cls, intensity: float = 1.0, seed: int = 0) -> "FaultSchedule":
         """All six modes at an aggregate rate of ~``0.06 * intensity``."""
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
-        s = intensity
+        s = _intensity(intensity)
         return cls([
             FaultSpec(FAULT_BROWNOUT, 0.003 * s, duration=1.5, span=3),
             FaultSpec(FAULT_STORM, 0.003 * s, duration=2.0, span=3),
@@ -221,9 +232,7 @@ class FaultSchedule:
         ...)``), which must recover lost partitions and route around
         wedged tasks without changing a single output byte.
         """
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
-        s = intensity
+        s = _intensity(intensity)
         return cls([
             FaultSpec(FAULT_KILL_WORKER, min(0.999, 0.02 * s)),
             FaultSpec(FAULT_HANG_TASK, min(0.999, 0.03 * s), duration=0.1),
@@ -240,9 +249,7 @@ class FaultSchedule:
         deadline budget. Consumed via :meth:`serve_fault_at`, never by
         :class:`~repro.net.http.SimServer`.
         """
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
-        s = intensity
+        s = _intensity(intensity)
         return cls([
             FaultSpec(FAULT_BROWNOUT, min(0.999, 0.002 * s),
                       duration=0.5, span=25),
@@ -263,9 +270,7 @@ class FaultSchedule:
         path honest too. Consumed via :meth:`shard_faults_at` and
         :meth:`serve_fault_at`, never by SimServer.
         """
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
-        s = intensity
+        s = _intensity(intensity)
         return cls([
             FaultSpec(FAULT_SLOW_REPLICA, min(0.999, 0.004 * s),
                       duration=0.05, span=15),
@@ -286,9 +291,7 @@ class FaultSchedule:
         commit is fenced off, and the supervisor redelivers the unit.
         Consumed via :meth:`ingest_fault_at`, never by SimServer.
         """
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
-        s = intensity
+        s = _intensity(intensity)
         return cls([
             FaultSpec(FAULT_KILL_INGEST, min(0.999, 0.05 * s)),
             FaultSpec(FAULT_LEASE_EXPIRY, min(0.999, 0.05 * s)),
@@ -309,9 +312,7 @@ class FaultSchedule:
         at an exact ledger state. Consumed via :meth:`alert_fault_at`
         and :meth:`ingest_fault_at`, never by SimServer.
         """
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
-        s = intensity
+        s = _intensity(intensity)
         return cls([
             FaultSpec(FAULT_KILL_SUBSCRIBER, min(0.999, 0.10 * s)),
             FaultSpec(FAULT_DROP_ACK, min(0.999, 0.08 * s)),
@@ -321,29 +322,17 @@ class FaultSchedule:
 
     @classmethod
     def from_profile(cls, profile: str, seed: int = 0) -> "FaultSchedule":
-        """Resolve a named CLI profile (``--fault-profile``)."""
-        if profile == "none":
+        """Resolve a named CLI profile (``--fault-profile``): the specs
+        of its :data:`PROFILES` presets, in layer order."""
+        if profile not in PROFILES:
+            raise ValueError(f"unknown fault profile {profile!r}; "
+                             f"expected one of {', '.join(PROFILES)}")
+        layers = PROFILES[profile]
+        if not layers:
             return cls.none()
-        if profile == "flaky":
-            return cls.flaky(seed=seed)
-        if profile == "chaos":
-            return cls.chaos(seed=seed)
-        if profile == "chaos-engine":
-            net = cls.chaos(seed=seed)
-            return cls(net.specs + cls.engine_chaos(seed=seed).engine_specs,
-                       seed)
-        if profile == "serve-chaos":
-            return cls.serve_chaos(seed=seed)
-        if profile == "serve-shard-chaos":
-            return cls.serve_shard_chaos(seed=seed)
-        if profile == "chaos-ingest":
-            return cls.ingest_chaos(seed=seed)
-        if profile == "alert-chaos":
-            return cls.alert_chaos(seed=seed)
-        raise ValueError(f"unknown fault profile {profile!r}; "
-                         f"expected none/flaky/chaos/chaos-engine/"
-                         f"serve-chaos/serve-shard-chaos/chaos-ingest/"
-                         f"alert-chaos")
+        return cls([spec for layer in layers
+                    for spec in getattr(cls, layer)(seed=seed).all_specs()],
+                   seed)
 
     # -------------------------------------------------------------- decisions
     def _fraction(self, kind: str, request_index: int) -> float:
@@ -468,19 +457,24 @@ class FaultSchedule:
             return True
         return False
 
+    def _first_claim(self, specs: List[FaultSpec],
+                     key: str) -> Optional[FaultSpec]:
+        """The first of ``specs``, in declaration order, whose dice for
+        ``key`` come up."""
+        for spec in specs:
+            if self._fraction(spec.kind, key) < spec.rate:
+                return spec
+        return None
+
     def ingest_fault_at(self, step_key: str) -> Optional[FaultSpec]:
         """Which ingest fault (if any) claims this ledger protocol step.
 
         ``step_key`` is a stable identifier of one protocol step of one
         delivery attempt (unit id + crash point + lease epoch), so a
         redelivered unit rolls new dice — a probabilistic kill cannot
-        pin one unit forever. First matching spec wins, in declaration
-        order.
+        pin one unit forever.
         """
-        for spec in self.ingest_specs:
-            if self._fraction(spec.kind, step_key) < spec.rate:
-                return spec
-        return None
+        return self._first_claim(self.ingest_specs, step_key)
 
     def alert_fault_at(self, step_key: str) -> Optional[FaultSpec]:
         """Which alert fault (if any) claims this delivery attempt.
@@ -489,12 +483,9 @@ class FaultSchedule:
         notification at one subscriber (notification id + subscriber +
         attempt ordinal), so a retried delivery rolls new dice — a
         probabilistic subscriber kill cannot wedge one notification
-        forever. First matching spec wins, in declaration order.
+        forever.
         """
-        for spec in self.alert_specs:
-            if self._fraction(spec.kind, step_key) < spec.rate:
-                return spec
-        return None
+        return self._first_claim(self.alert_specs, step_key)
 
     def engine_fault_at(self, task_key: str) -> Optional[FaultSpec]:
         """Which engine fault (if any) claims this partition task.
@@ -502,12 +493,8 @@ class FaultSchedule:
         ``task_key`` is a stable per-context identifier (job serial +
         stage ordinal + partition index), so the same program replayed
         with the same seed loses the same executors at the same points.
-        First matching spec wins, in declaration order.
         """
-        for spec in self.engine_specs:
-            if self._fraction(spec.kind, task_key) < spec.rate:
-                return spec
-        return None
+        return self._first_claim(self.engine_specs, task_key)
 
     @property
     def aggregate_rate(self) -> float:
@@ -520,14 +507,14 @@ class FaultSchedule:
                 total += spec.rate
         return min(1.0, total)
 
+    def all_specs(self) -> Iterator[FaultSpec]:
+        """Every spec, family by family (see :data:`FAMILIES`)."""
+        for family, _ in FAMILIES:
+            yield from getattr(self, family)
+
     @property
     def kinds(self) -> List[str]:
-        return sorted({spec.kind for spec in self.specs}
-                      | {spec.kind for spec in self.engine_specs}
-                      | {spec.kind for spec in self.serve_specs}
-                      | {spec.kind for spec in self.shard_specs}
-                      | {spec.kind for spec in self.ingest_specs}
-                      | {spec.kind for spec in self.alert_specs})
+        return sorted({spec.kind for spec in self.all_specs()})
 
     # ------------------------------------------------------------- injection
     def inject(self, request_index: int) -> Optional["Response"]:

@@ -246,9 +246,7 @@ class QueryService:
                                     cfg.cache_read_cost_s)
 
         # 2. deadline gate: never start work the budget cannot cover
-        units = self.dataset.units(request.kind, request.key, request.depth)
-        estimate = (cfg.base_cost_s + units * cfg.unit_cost_s
-                    + self._dfs_latency_bound(request))
+        estimate = self._estimate(request)
         margin = (cfg.fault_detect_cost_s + cfg.cache_read_cost_s
                   + cfg.summary_cost_s)
         if remaining < estimate + margin:
@@ -285,7 +283,22 @@ class QueryService:
                                   deadline_abs,
                                   extra_cost=cfg.fault_detect_cost_s)
 
-        # 5. the real backend query
+        # 5. the backend answer
+        return self._answer(request, cache_key, start_s, deadline_abs,
+                            index, pad)
+
+    def _estimate(self, request: ServeRequest) -> float:
+        """Step 2's bound on what :meth:`_answer` will cost."""
+        cfg = self.config
+        units = self.dataset.units(request.kind, request.key, request.depth)
+        return (cfg.base_cost_s + units * cfg.unit_cost_s
+                + self._dfs_latency_bound(request))
+
+    def _answer(self, request: ServeRequest, cache_key, start_s: float,
+                deadline_abs: float, index: int, pad: float) -> ServeResult:
+        """Step 5: the real backend query. ``index`` is the request's
+        serve-fault index, ``pad`` the injected latency spike."""
+        cfg = self.config
         answer = self.dataset.run(request.kind, request.key, self.dfs,
                                   depth=request.depth,
                                   hedge_after_s=cfg.hedge_after_s)
@@ -298,10 +311,15 @@ class QueryService:
                                        answer.hedged.hedges_launched,
                                        answer.hedged.hedges_won,
                                        answer.hedged.wasted_reads)
-        breaker.record_success()
-        self.cache.store(cache_key, answer.value, start_s + cost)
-        return self._finish(request, start_s, STATUS_FRESH, answer.value,
-                            False, cost)
+        return self._fresh(request, cache_key, start_s, answer.value, cost)
+
+    def _fresh(self, request: ServeRequest, cache_key, start_s: float,
+               value, cost: float) -> ServeResult:
+        """A full backend answer: close the breaker, cache, finish."""
+        self.breakers[request.kind].record_success()
+        self.cache.store(cache_key, value, start_s + cost)
+        return self._finish(request, start_s, STATUS_FRESH, value, False,
+                            cost)
 
     # ----------------------------------------------------------- degradation
     def _degraded(self, request: ServeRequest, cache_key,

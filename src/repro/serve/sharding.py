@@ -37,14 +37,12 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.dfs.filesystem import MiniDfs
-from repro.net.faults import (FAULT_BROWNOUT, FAULT_KILL_SHARD,
-                              FAULT_PARTITION_SHARD, FAULT_SLOW,
-                              FAULT_SLOW_REPLICA, FAULT_STORM,
-                              FaultSchedule)
+from repro.net.faults import (FAULT_KILL_SHARD, FAULT_PARTITION_SHARD,
+                              FAULT_SLOW_REPLICA, FaultSchedule)
 from repro.serve.autoscale import AutoscaleConfig, Autoscaler
 from repro.serve.dataset import (KIND_COMMUNITY, KIND_COMPANY,
                                  KIND_ENGAGEMENT, KIND_INVESTOR,
@@ -53,8 +51,7 @@ from repro.serve.dataset import (KIND_COMMUNITY, KIND_COMPANY,
                                  ServeDataset, SpanIndex, Targets)
 from repro.serve.health import (EVENT_DEGRADED, EVENT_OK, HealthMonitor)
 from repro.serve.metrics import (SHARD_DEAD, SHARD_DEADLINE, SHARD_OK,
-                                 SHARD_PARTITIONED, STATUS_CACHED,
-                                 STATUS_FRESH, STATUS_PARTIAL)
+                                 SHARD_PARTITIONED, STATUS_PARTIAL)
 from repro.serve.service import (QueryService, ServeConfig, ServeRequest,
                                  ServeResult)
 from repro.serve.tenancy import FairShareAdmission, Tenant
@@ -317,8 +314,9 @@ class ShardedQueryService(QueryService):
 
     Subclasses :class:`QueryService` so the open-loop replay, admission
     protocol, cache, breaker, and degradation ladder are shared; only
-    backend execution (step 5) is replaced by the fan-out, and admission
-    swaps to :class:`FairShareAdmission` when tenants are configured.
+    the deadline gate's estimate and backend execution (step 5) are
+    replaced by the fan-out's, and admission swaps to
+    :class:`FairShareAdmission` when tenants are configured.
     """
 
     def __init__(self, dataset: ServeDataset, dfs: MiniDfs,
@@ -379,105 +377,45 @@ class ShardedQueryService(QueryService):
 
     # ------------------------------------------------------------- execution
     def execute(self, request: ServeRequest, start_s: float) -> ServeResult:
+        result = super().execute(request, start_s)
+        self._autoscale_tick()
+        return result
+
+    def _estimate(self, request: ServeRequest) -> float:
+        """The base gate's bound plus the fan-out's calls and rounds."""
         cfg = self.config
         scfg = self.shard_config
-        self._advance_to(start_s)
-        deadline_abs = request.arrival_s + (
-            request.deadline_s if request.deadline_s is not None
-            else cfg.default_deadline_s)
-        remaining = deadline_abs - start_s
-        cache_key = (request.kind, request.key, request.depth)
-        result = None
-
-        # 1. fresh cache answer (identical to the base tier)
-        if remaining >= cfg.cache_read_cost_s:
-            answer = self.cache.lookup_fresh(cache_key, start_s)
-            if answer is not None:
-                result = self._finish(request, start_s, STATUS_CACHED,
-                                      answer.value, False,
-                                      cfg.cache_read_cost_s)
-                result.coverage = None
-                self._autoscale_tick()
-                return result
-
-        # 2. deadline gate over the *sharded* cost estimate
         units = self.dataset.units(request.kind, request.key, request.depth)
         fanout, rounds = self._fanout_bound(request)
         unit_factor = 2 if request.kind == KIND_NEIGHBORHOOD else 1
-        estimate = (cfg.base_cost_s + unit_factor * units * cfg.unit_cost_s
-                    + self._dfs_latency_bound(request)
-                    + fanout * scfg.call_cost_s
-                    + rounds * scfg.gather_cost_s)
-        margin = (cfg.fault_detect_cost_s + cfg.cache_read_cost_s
-                  + cfg.summary_cost_s)
-        if remaining < estimate + margin:
-            result = self._degraded(request, cache_key, start_s,
-                                    deadline_abs)
-            self._autoscale_tick()
-            return result
+        return (cfg.base_cost_s + unit_factor * units * cfg.unit_cost_s
+                + self._dfs_latency_bound(request)
+                + fanout * scfg.call_cost_s
+                + rounds * scfg.gather_cost_s)
 
-        # 3. circuit breaker (store-wide brownouts, as in the base tier)
-        breaker = self.breakers[request.kind]
-        if not breaker.try_acquire():
-            self.metrics.record_breaker_short_circuit(request.priority)
-            result = self._degraded(request, cache_key, start_s,
-                                    deadline_abs)
-            self._autoscale_tick()
-            return result
-
-        # 4. injected faults: store brownouts, latency spikes, shard faults
-        index = self._request_index
-        self._request_index += 1
-        spec = self.faults.serve_fault_at(index)
-        if spec is not None and spec.kind in (FAULT_BROWNOUT, FAULT_STORM):
-            breaker.record_failure()
-            self.metrics.record_backend_fault(request.priority)
-            result = self._degraded(request, cache_key, start_s,
-                                    deadline_abs,
-                                    extra_cost=cfg.fault_detect_cost_s)
-            self._autoscale_tick()
-            return result
-        pad = (spec.duration if spec is not None
-               and spec.kind == FAULT_SLOW else 0.0)
-        if pad > 0.0 and (start_s + estimate + pad
-                          + cfg.cache_read_cost_s + cfg.summary_cost_s
-                          > deadline_abs):
-            breaker.record_failure()
-            self.metrics.record_backend_fault(request.priority)
-            result = self._degraded(request, cache_key, start_s,
-                                    deadline_abs,
-                                    extra_cost=cfg.fault_detect_cost_s)
-            self._autoscale_tick()
-            return result
+    def _answer(self, request: ServeRequest, cache_key, start_s: float,
+                deadline_abs: float, index: int, pad: float) -> ServeResult:
+        """Step 5 as a scatter-gather across the owner shards, under the
+        shard faults active at ``index``."""
+        cfg = self.config
         partitioned, slow_map = self._apply_shard_faults(index, start_s)
-
-        # 5. scatter-gather across the owner shards
         budget_abs = deadline_abs - (cfg.cache_read_cost_s
                                      + cfg.summary_cost_s)
         value, cost, coverage = self._scatter(
             request, start_s, budget_abs, index, partitioned, slow_map)
         cost += pad
-
         if value is None:
             # every contacted shard failed: degrade, carry the coverage
             self.metrics.record_backend_fault(request.priority)
             result = self._degraded(request, cache_key, start_s,
                                     deadline_abs,
                                     extra_cost=cfg.fault_detect_cost_s)
-            result.coverage = coverage
-            self._autoscale_tick()
-            return result
-
-        if coverage["partial"]:
+        elif coverage["partial"]:
             result = self._finish(request, start_s, STATUS_PARTIAL, value,
                                   False, cost)
         else:
-            breaker.record_success()
-            self.cache.store(cache_key, value, start_s + cost)
-            result = self._finish(request, start_s, STATUS_FRESH, value,
-                                  False, cost)
+            result = self._fresh(request, cache_key, start_s, value, cost)
         result.coverage = coverage
-        self._autoscale_tick()
         return result
 
     # ------------------------------------------------------------ shard faults

@@ -164,3 +164,51 @@ class TestShardedServeCommands:
         # admission controller rather than rejecting "default" traffic
         assert main(["serve", *SCALE, "--queries", "3", "--shards", "2",
                      "--fair-share", "--tenants", "1"]) == 0
+
+
+class TestBadInputFailsBeforeTheCrawl:
+    """Malformed flags exit 2 with one ``repro: error:`` line, and no
+    world is generated (let alone crawled) first."""
+
+    @pytest.fixture(autouse=True)
+    def no_world(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("a world was generated before the "
+                                 "flags were checked")
+        monkeypatch.setattr("repro.cli.generate_world", refuse)
+
+    def assert_config_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_non_numeric_tenant_weight(self, capsys):
+        self.assert_config_error(
+            ["serve", "--shards", "2", "--fair-share", "--tenants", "2",
+             "--tenant-weights", "1,x"], "--tenant-weights", capsys)
+
+    def test_tenant_weight_count_mismatch(self, capsys):
+        self.assert_config_error(
+            ["serve-bench", "--shards", "2", "--fair-share", "--tenants",
+             "3", "--tenant-weights", "1,2"], "expected 3 weights", capsys)
+
+    def test_zero_qps_limit(self, capsys):
+        self.assert_config_error(["serve", "--qps-limit", "0"],
+                                 "qps_limit must be > 0", capsys)
+
+    def test_zero_shard_replicas(self, capsys):
+        self.assert_config_error(
+            ["serve-bench", "--shards", "2", "--shard-replicas", "0"],
+            "replicas must be >= 1", capsys)
+
+    def test_malformed_subscription(self, capsys):
+        self.assert_config_error(
+            ["ingest", "--subscribe", "company_funding:abc"],
+            "--subscribe takes KIND:KEY[:TENANT]", capsys)
+
+    def test_malformed_kill_point(self, capsys):
+        self.assert_config_error(
+            ["ingest", "--kill-at", "day-0002:snapshot@nowhere"],
+            "--kill-at takes UNIT@STATE", capsys)

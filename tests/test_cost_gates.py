@@ -17,6 +17,7 @@ And a ratchet on the engine's knobs: a new config field or context
 parameter is counted here.
 """
 
+import argparse
 import dataclasses
 import inspect
 import json.encoder
@@ -27,6 +28,7 @@ import tracemalloc
 
 import pytest
 
+from repro.cli import build_parser
 from repro.community.coda import CoDA
 from repro.core.platform import ExploratoryPlatform, PlatformConfig
 from repro.dfs import jsonlines
@@ -495,6 +497,18 @@ def test_building_the_serve_dataset_peaks_under_5_5_mb(crawled_platform):
 def test_knob_ratchet():
     # the counts today; removing a knob lowers its bound here, and a
     # new one has to raise it in plain sight
-    assert len(dataclasses.fields(PlatformConfig)) <= 35
+    assert len(dataclasses.fields(PlatformConfig)) <= 26
     params = inspect.signature(SparkLiteContext.__init__).parameters
     assert len([name for name in params if name != "self"]) <= 20
+
+
+def test_cli_option_ratchet():
+    # every distinct option string and positional across the subcommands
+    # (``--scale`` counts once however many subcommands take it)
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    names = {name for parser in subparsers.choices.values()
+             for action in parser._actions
+             if not isinstance(action, argparse._HelpAction)
+             for name in action.option_strings or [action.dest]}
+    assert len(names) <= 51

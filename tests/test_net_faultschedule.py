@@ -386,3 +386,30 @@ class TestWindowMemo:
                 schedule.fault_at(index)
         requests = sum(len(phase) for phase in phases)
         assert len(hashed) <= requests + spec.span * len(phases)
+
+
+def test_every_fault_profile_is_its_layers():
+    # each named profile is the presets it layers, composed by hand here:
+    # the same specs in every family, in the same order, on the same seed
+    families = ("specs", "engine_specs", "serve_specs", "shard_specs",
+                "ingest_specs", "alert_specs")
+    for seed in (0, 7):
+        chaos = FaultSchedule.chaos(seed=seed)
+        engine = FaultSchedule.engine_chaos(seed=seed)
+        expected = {
+            "none": FaultSchedule.none(),
+            "flaky": FaultSchedule.flaky(seed=seed),
+            "chaos": chaos,
+            "chaos-engine": FaultSchedule(
+                chaos.specs + engine.engine_specs, seed),
+            "serve-chaos": FaultSchedule.serve_chaos(seed=seed),
+            "serve-shard-chaos": FaultSchedule.serve_shard_chaos(seed=seed),
+            "chaos-ingest": FaultSchedule.ingest_chaos(seed=seed),
+            "alert-chaos": FaultSchedule.alert_chaos(seed=seed),
+        }
+        for name, want in expected.items():
+            got = FaultSchedule.from_profile(name, seed=seed)
+            assert got.seed == want.seed, name
+            for family in families:
+                assert getattr(got, family) == getattr(want, family), \
+                    (name, family)

@@ -42,7 +42,8 @@ echo "== one durable kernel =="
 if grep -nF -e 'json.loads(self.dfs.read_text(' -e 'MANIFEST' \
         -e 'manifest_path' -e '_lease_path(' -e 'to_json()' \
         src/repro/crawl/ledger.py src/repro/dfs/upsert.py \
-        src/repro/serve/outbox.py src/repro/serve/subscriptions.py; then
+        src/repro/serve/outbox.py src/repro/serve/subscriptions.py \
+        src/repro/engine/checkpoint.py; then
     echo "durable state handled outside src/repro/durable.py" >&2
     exit 1
 fi
@@ -57,6 +58,26 @@ if grep -rnE --include='*.py' -e 'dst_type, dst_id' \
         -e '_src_users|_row_starts|_dst_is_user|_dst_ids|_count_keys' \
         src/repro/serve | grep -v '^src/repro/serve/dataset\.py:'; then
     echo "follow-index layout handled outside src/repro/serve/dataset.py" >&2
+    exit 1
+fi
+
+echo "== one request ladder =="
+# QueryService.execute owns steps 1-4 of a request (fresh cache, deadline
+# gate, breaker, injected faults); the sharded tier overrides only the
+# gate's estimate and the step-5 answer, so none of those steps may be
+# spelled again in serve/sharding.py
+if grep -nF -e 'lookup_fresh(' -e 'try_acquire(' -e 'serve_fault_at(' \
+        src/repro/serve/sharding.py; then
+    echo "request ladder copied into src/repro/serve/sharding.py" >&2
+    exit 1
+fi
+
+echo "== engine reads its own context =="
+# every RDD's context is a SparkLiteContext: its settings are plain
+# attribute reads, never sniffed with a fallback default
+if grep -nF -e 'getattr(self.context' -e 'getattr(context' \
+        src/repro/engine/rdd.py; then
+    echo "context attribute sniffed in src/repro/engine/rdd.py" >&2
     exit 1
 fi
 
@@ -96,8 +117,9 @@ echo "== counted cost gates (pipeline hot paths) =="
 # (every column's nbytes) and ServeDataset.build's tracemalloc peak stays
 # under a bound the two-dict fold failed, held with the index against
 # that fold (rows, counts, traversals and every shard split). And the
-# knob ratchet: PlatformConfig fields and SparkLiteContext parameters
-# may not grow (test_knob_ratchet).
+# knob ratchets: PlatformConfig fields and SparkLiteContext parameters
+# (test_knob_ratchet) and the CLI's distinct options
+# (test_cli_option_ratchet) may not grow.
 # Part of tier 1 above; run by name so a renamed or deselected module
 # fails the gate
 python -m pytest -q -p no:cacheprovider tests/test_cost_gates.py \
