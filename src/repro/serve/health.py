@@ -49,6 +49,8 @@ class HealthMonitor:
         self.degrade_exit = degrade_exit
         self.state = STATE_HEALTHY
         self._events: Deque[str] = deque(maxlen=window)
+        # running counts over the window, kept in step on append/evict
+        self._counts = {EVENT_OK: 0, EVENT_DEGRADED: 0, EVENT_SHED: 0}
         self._metrics = None
 
     def attach_metrics(self, metrics) -> None:
@@ -58,9 +60,13 @@ class HealthMonitor:
     # ------------------------------------------------------------------ flow
     def record(self, event: str, sim_time: float) -> str:
         """Feed one outcome; returns the (possibly new) state."""
-        if event not in (EVENT_OK, EVENT_DEGRADED, EVENT_SHED):
+        counts = self._counts
+        if event not in counts:
             raise ValueError(f"unknown health event {event!r}")
+        if len(self._events) == self.window:
+            counts[self._events[0]] -= 1
         self._events.append(event)
+        counts[event] += 1
         new_state = self._classify()
         if new_state != self.state:
             if self._metrics is not None:
@@ -73,9 +79,8 @@ class HealthMonitor:
         total = len(self._events)
         if total < self.min_events:
             return self.state
-        shed = sum(1 for e in self._events if e == EVENT_SHED) / total
-        degraded = sum(1 for e in self._events
-                       if e == EVENT_DEGRADED) / total
+        shed = self._counts[EVENT_SHED] / total
+        degraded = self._counts[EVENT_DEGRADED] / total
         if self.state == STATE_SHEDDING:
             # leave shedding only once rejections have really stopped
             if shed > self.shed_exit:

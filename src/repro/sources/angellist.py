@@ -21,7 +21,7 @@ Auth: every call needs a token from :meth:`issue_token`. Rate limit:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.net.http import Request, Response, SimServer, paginate
 from repro.net.faults import FaultPlan
@@ -47,7 +47,9 @@ class AngelListServer(SimServer):
         self.world = world
         self.tokens = TokenRegistry("al", self.clock)
         self.limiter = FixedWindowLimiter(RATE_LIMIT, RATE_WINDOW, self.clock)
-        self._followers: Dict[int, List[int]] = world.company_followers()
+        self._follows = world.follows
+        # company → follower users, shared with every server of this world
+        self._followers = world.follows.companies.inverse()
         self._raising_ids = sorted(
             cid for cid, c in world.companies.items() if c.currently_raising)
 
@@ -124,7 +126,7 @@ class AngelListServer(SimServer):
         if cid is None or cid not in self.world.companies:
             return Response.error(404, "startup not found")
         page = self._page(request)
-        ids, last = paginate(self._followers.get(cid, []), page, PER_PAGE)
+        ids, last = self._followers.page(cid, page, PER_PAGE)
         items = [self.world.users[uid].angellist_json() for uid in ids]
         return Response.json({"users": items, "page": page, "last_page": last})
 
@@ -143,10 +145,10 @@ class AngelListServer(SimServer):
         kind = request.params.get("type", "startup")
         page = self._page(request)
         if kind == "startup":
-            ids, last = paginate(user.follows_companies, page, PER_PAGE)
+            ids, last = self._follows.companies.page(uid, page, PER_PAGE)
             items = [{"id": cid, "type": "Startup"} for cid in ids]
         elif kind == "user":
-            ids, last = paginate(user.follows_users, page, PER_PAGE)
+            ids, last = self._follows.users.page(uid, page, PER_PAGE)
             items = [{"id": fid, "type": "User"} for fid in ids]
         else:
             return Response.error(400, f"unknown follow type {kind!r}")

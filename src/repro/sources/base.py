@@ -85,7 +85,9 @@ class FixedWindowLimiter:
 
     def check(self, key: str) -> Optional[float]:
         now = self._clock.now()
-        window = self._windows.setdefault(key, _Window(start=now))
+        window = self._windows.get(key)
+        if window is None:
+            window = self._windows[key] = _Window(start=now)
         if now - window.start >= self.window_seconds:
             window.start = now
             window.count = 0

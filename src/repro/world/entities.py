@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.graph.csr import CSR
+
 
 @dataclass
 class FundingRound:
@@ -151,6 +153,19 @@ class Company:
         }
 
 
+@dataclass(frozen=True)
+class FollowGraph:
+    """The world's follow edges: one CSR row per user id, immutable once
+    generated (the world's dynamics move follower counts, not follows)."""
+
+    companies: CSR     # user → followed company ids
+    users: CSR         # user → followed user ids
+
+    @classmethod
+    def empty(cls) -> "FollowGraph":
+        return cls(CSR([0], [], 0), CSR([0], [], 0))
+
+
 @dataclass
 class User:
     """An AngelList user: investor, founder, employee, or onlooker."""
@@ -158,8 +173,6 @@ class User:
     user_id: int
     name: str
     roles: List[str]
-    follows_companies: List[int] = field(default_factory=list)
-    follows_users: List[int] = field(default_factory=list)
     investments: List[int] = field(default_factory=list)  # company ids
     community_ids: List[int] = field(default_factory=list)  # planted truth
     #: the one community whose pool this investor actually herds with;
@@ -168,20 +181,42 @@ class User:
     #: whether the investor lists their syndicate on their profile
     #: (AngelList syndicates are public but not everyone joins one).
     syndicate_disclosed: bool = False
+    #: the world's follow graph, linked by ``World.set_follows``; the
+    #: user's follows are row ``user_id`` of it
+    _follows: Optional[FollowGraph] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def is_investor(self) -> bool:
         return "investor" in self.roles
 
+    @property
+    def follows_companies(self) -> List[int]:
+        """Followed company ids, ascending (a fresh list)."""
+        if self._follows is None:
+            return []
+        return self._follows.companies.row(self.user_id).tolist()
+
+    @property
+    def follows_users(self) -> List[int]:
+        """Followed user ids, ascending (a fresh list)."""
+        if self._follows is None:
+            return []
+        return self._follows.users.row(self.user_id).tolist()
+
     def angellist_json(self) -> Dict:
         syndicate = (self.primary_community_id
                      if self.syndicate_disclosed else None)
+        follows = self._follows
+        uid = self.user_id
         return {
-            "id": self.user_id,
+            "id": uid,
             "name": self.name,
             "roles": list(self.roles),
-            "follows_company_count": len(self.follows_companies),
-            "follows_user_count": len(self.follows_users),
+            "follows_company_count": (
+                follows.companies.degree[uid] if follows else 0),
+            "follows_user_count": (
+                follows.users.degree[uid] if follows else 0),
             "investment_count": len(self.investments),
             "syndicate_id": syndicate,
         }

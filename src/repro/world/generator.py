@@ -24,15 +24,17 @@ The generative model (DESIGN.md §5) works latent-first:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.graph.csr import CSR
 from repro.util.rng import RngStream
 from repro.world.config import WorldConfig
 from repro.world.entities import (
     Company,
     FacebookPage,
+    FollowGraph,
     FundingRound,
     Investment,
     TwitterProfile,
@@ -75,7 +77,20 @@ class World:
     facebook_pages: Dict[int, FacebookPage] = field(default_factory=dict)
     twitter_profiles: Dict[int, TwitterProfile] = field(default_factory=dict)
     planted_communities: List[PlantedCommunity] = field(default_factory=list)
+    #: user → company and user → user follows, one CSR row per user id
+    follows: FollowGraph = field(default_factory=FollowGraph.empty)
     day: int = 0
+
+    def set_follows(self, follows: FollowGraph) -> None:
+        """Install the follow graph and link every user to it (user ids
+        must be the graph's rows ``0 .. n - 1``)."""
+        rows = follows.companies.n_rows
+        if (sorted(self.users) != list(range(rows))
+                or follows.users.n_rows != rows):
+            raise ValueError("follow graph rows must be the user ids")
+        self.follows = follows
+        for user in self.users.values():
+            user._follows = follows
 
     def primary_communities(self) -> Dict[int, List[int]]:
         """Planted truth at the behavioural level: community id → the
@@ -88,12 +103,9 @@ class World:
         return groups
 
     def company_followers(self) -> Dict[int, List[int]]:
-        """Invert the follow graph: company id → follower user ids."""
-        followers: Dict[int, List[int]] = {cid: [] for cid in self.companies}
-        for user in self.users.values():
-            for cid in user.follows_companies:
-                followers[cid].append(user.user_id)
-        return followers
+        """Company id → follower user ids, ascending (fresh lists)."""
+        inverse = self.follows.companies.inverse()
+        return {cid: inverse.row(cid).tolist() for cid in self.companies}
 
     def summary(self) -> Dict[str, float]:
         """Headline ground-truth statistics (compare with DESIGN.md §5)."""
@@ -154,12 +166,14 @@ def generate_world(config: Optional[WorldConfig] = None) -> World:
     root = RngStream(config.seed, "world")
     world = World(config=config)
 
-    _generate_companies(world, root.child("companies"))
+    has_fb, has_tw = _generate_companies(world, root.child("companies"))
     _generate_users(world, root.child("users"))
-    _plant_communities(world, root.child("communities"))
-    _generate_investments(world, root.child("investments"))
+    active, budgets, investable = _plant_communities(
+        world, root.child("communities"))
+    _generate_investments(world, root.child("investments"), active, budgets,
+                          investable)
     _generate_follows(world, root.child("follows"))
-    _generate_social_accounts(world, root.child("social"))
+    _generate_social_accounts(world, root.child("social"), has_fb, has_tw)
     _generate_rounds(world, root.child("rounds"))
     return world
 
@@ -168,7 +182,10 @@ def generate_world(config: Optional[WorldConfig] = None) -> World:
 # companies
 # ---------------------------------------------------------------------------
 
-def _generate_companies(world: World, rng: RngStream) -> None:
+def _generate_companies(world: World,
+                        rng: RngStream) -> Tuple[np.ndarray, np.ndarray]:
+    """Fill ``world.companies``; returns the Facebook and Twitter presence
+    flags for the social-account pass."""
     config = world.config
     params = config.params
     n = config.num_companies
@@ -215,10 +232,7 @@ def _generate_companies(world: World, rng: RngStream) -> None:
             has_video=bool(has_video[i]),
         )
         world.companies[i] = company
-
-    # Stash presence flags for the social-account pass without recomputing.
-    world._has_fb = has_fb          # type: ignore[attr-defined]
-    world._has_tw = has_tw          # type: ignore[attr-defined]
+    return has_fb, has_tw
 
 
 def _company_names(rng: RngStream, n: int) -> List[str]:
@@ -267,26 +281,30 @@ def _generate_users(world: World, rng: RngStream) -> None:
 # planted communities + investments
 # ---------------------------------------------------------------------------
 
-def _plant_communities(world: World, rng: RngStream) -> None:
+def _plant_communities(
+        world: World, rng: RngStream,
+) -> Tuple[List[int], Dict[int, int], np.ndarray]:
+    """Plant the communities; returns the active investors, their
+    activity budgets and the investable companies for the investment
+    pass."""
     config = world.config
     params = config.params
     npr = rng.np
 
     investors = [u.user_id for u in world.users.values() if u.is_investor]
     if not investors:
-        return
+        return [], {}, np.empty(0, dtype=np.int64)
     active_mask = npr.random(len(investors)) < params.active_investor_fraction
     active = [uid for uid, keep in zip(investors, active_mask) if keep]
     if not active:
         active = investors[:1]
 
     # Activity budgets: bounded Zipf; whales (budget up to investments_max)
-    # exist but are rare. Stored for the investment pass and used to bias
+    # exist but are rare. Returned for the investment pass and used to bias
     # community membership toward active investors (syndicate leads).
-    budgets = _truncated_zipf_counts(
+    budget_draws = _truncated_zipf_counts(
         rng, params.investments_zipf_alpha, config.investments_max, len(active))
-    world._active_investors = list(active)            # type: ignore[attr-defined]
-    world._budgets = {uid: int(b) for uid, b in zip(active, budgets)}  # type: ignore[attr-defined]
+    budgets = {uid: int(b) for uid, b in zip(active, budget_draws)}
 
     # Investable companies: a quality-biased subset sized so ~87% end up
     # with at least one investor, matching §5.1's 59,953 / 744,036.
@@ -296,10 +314,9 @@ def _plant_communities(world: World, rng: RngStream) -> None:
     target = max(10, min(target, len(companies)))
     ranked = companies[np.argsort(-(quality + 0.25 * npr.random(len(companies))))]
     investable = ranked[:target]
-    world._investable = investable                     # type: ignore[attr-defined]
 
     n_comm = config.num_communities
-    weights = np.array([world._budgets[uid] for uid in active], dtype=np.float64)
+    weights = np.array([budgets[uid] for uid in active], dtype=np.float64)
     # Mild size bias: active investors join syndicates more often, but a
     # pair of whales in one pool would blow the shared-size average far
     # past the paper's 2.1 (see DESIGN.md §5 calibration).
@@ -334,20 +351,20 @@ def _plant_communities(world: World, rng: RngStream) -> None:
         world.planted_communities.append(community)
         for uid in members:
             world.users[uid].community_ids.append(cid)
+    return active, budgets, investable
 
 
-def _generate_investments(world: World, rng: RngStream) -> None:
+def _generate_investments(world: World, rng: RngStream, active: List[int],
+                          budgets: Dict[int, int],
+                          investable: np.ndarray) -> None:
     config = world.config
     params = config.params
     npr = rng.np
     # Disclosure flags come from an independent child stream so adding
     # profile attributes never perturbs the investment structure.
     disclose_rng = rng.child("disclosure").np
-    active: List[int] = getattr(world, "_active_investors", [])
     if not active:
         return
-    budgets: Dict[int, int] = world._budgets            # type: ignore[attr-defined]
-    investable: np.ndarray = world._investable          # type: ignore[attr-defined]
 
     # Global popularity over investable companies: Zipf-ish weights so a
     # few hot startups attract many independent investors.
@@ -415,68 +432,91 @@ def _generate_investments(world: World, rng: RngStream) -> None:
 # ---------------------------------------------------------------------------
 
 def _generate_follows(world: World, rng: RngStream) -> None:
+    """Draw both follow graphs into ``world.follows``.
+
+    The per-user loop makes only the draws, in stream order; the lookup,
+    de-duplication and coverage passes run once over every user's edges.
+    """
     config = world.config
-    params = config.params
     npr = rng.np
     n_companies = len(world.companies)
-    company_ids = np.arange(n_companies, dtype=np.int64)
+    n_users = len(world.users)
 
     # Popularity for follows: engagement-driven, so socially active
     # companies accumulate followers (consistent with the paper's framing).
     latent = np.array(
-        [world.companies[int(c)].engagement_latent for c in company_ids])
+        [world.companies[c].engagement_latent for c in range(n_companies)])
     pop = np.exp(0.8 * latent + 0.6 * npr.standard_normal(n_companies))
     cum_pop = np.cumsum(pop)
 
-    user_ids = sorted(world.users)
     mean_follows_inv = config.mean_follows
-    for uid in user_ids:
-        user = world.users[uid]
-        if user.is_investor:
-            count = max(1, int(npr.exponential(mean_follows_inv)))
-        else:
-            count = max(1, int(npr.exponential(8.0)))
-        count = min(count, n_companies)
-        picks = np.unique(_weighted_indices(cum_pop, npr, count))
-        user.follows_companies = [int(c) for c in picks]
+    company_counts = np.empty(n_users, dtype=np.int64)
+    user_counts = np.zeros(n_users, dtype=np.int64)
+    # the loop keeps no array per user: company draws fill one buffer,
+    # grown as needed, and user targets (at most five a user) another
+    draws = np.empty(16 * n_users)
+    targets = np.empty(5 * n_users, dtype=np.int64)
+    n_draws = n_targets = 0
+    for uid in range(n_users):
+        scale = mean_follows_inv if world.users[uid].is_investor else 8.0
+        count = min(max(1, int(npr.exponential(scale))), n_companies)
+        company_counts[uid] = count
+        if n_draws + count > len(draws):
+            draws = np.concatenate((draws, np.empty(len(draws) // 2 + count)))
+        npr.random(out=draws[n_draws:n_draws + count])
+        n_draws += count
         # user → user follows keep the BFS frontier expanding through people.
         n_user_follows = int(npr.integers(0, 6))
         if n_user_follows:
-            targets = npr.integers(0, len(user_ids), size=n_user_follows)
-            user.follows_users = sorted(
-                {int(t) for t in targets if int(t) != uid})
+            user_counts[uid] = n_user_follows
+            targets[n_targets:n_targets + n_user_follows] = npr.integers(
+                0, n_users, size=n_user_follows)
+            n_targets += n_user_follows
 
+    # each graph's arrays are dropped before the next pass allocates, so
+    # the step peaks at about three int64 arrays of the company edges
+    user_ids = np.arange(n_users, dtype=np.int64)
+    sources = np.repeat(user_ids, user_counts)
+    targets = targets[:n_targets]
+    own = sources != targets
+    users = CSR.from_keys(sources[own] * n_users + targets[own], n_users,
+                          n_users)
+    del sources, targets, own
+
+    drawn = draws[:n_draws]
+    drawn *= cum_pop[-1]
+    cols = np.searchsorted(cum_pop, drawn, side="right")
+    del draws, drawn
     # Coverage guarantees (see module docstring): each investor follows the
     # companies they invested in; each company has at least one follower.
-    for user in world.users.values():
-        if user.investments:
-            merged = set(user.follows_companies) | set(user.investments)
-            user.follows_companies = sorted(merged)
+    invested = np.fromiter(
+        (inv.investor_id * n_companies + inv.company_id
+         for inv in world.investments), np.int64, len(world.investments))
+    followed = np.zeros(n_companies, dtype=bool)
+    followed[cols] = True
+    followed[invested % n_companies] = True
+    orphans = np.flatnonzero(~followed)
+    adopters = npr.integers(0, n_users, size=len(orphans))
+    keys = np.repeat(user_ids * n_companies, company_counts)
+    keys += cols
+    del cols
+    keys = np.concatenate((keys, invested, adopters * n_companies + orphans))
+    companies = CSR.from_keys(keys, n_users, n_companies)
+    world.set_follows(FollowGraph(companies=companies, users=users))
 
-    followed = set()
-    for user in world.users.values():
-        followed.update(user.follows_companies)
-    orphans = [cid for cid in world.companies if cid not in followed]
-    if orphans:
-        adopters = npr.integers(0, len(user_ids), size=len(orphans))
-        for cid, uidx in zip(orphans, adopters):
-            user = world.users[user_ids[int(uidx)]]
-            user.follows_companies = sorted(
-                set(user.follows_companies) | {cid})
-
-    for cid, followers in world.company_followers().items():
-        world.companies[cid].follower_count = len(followers)
+    followers = np.bincount(companies.indices, minlength=n_companies)
+    for company, count in zip(world.companies.values(), followers.tolist()):
+        company.follower_count = count
 
 
 # ---------------------------------------------------------------------------
 # social accounts
 # ---------------------------------------------------------------------------
 
-def _generate_social_accounts(world: World, rng: RngStream) -> None:
+def _generate_social_accounts(world: World, rng: RngStream,
+                              has_fb: np.ndarray, has_tw: np.ndarray) -> None:
     params = world.config.params
     npr = rng.np
-    has_fb: np.ndarray = getattr(world, "_has_fb")
-    has_tw: np.ndarray = getattr(world, "_has_tw")
     coupling = params.engagement_metric_coupling
     residual = float(np.sqrt(max(0.0, 1.0 - coupling ** 2)))
 

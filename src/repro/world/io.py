@@ -3,7 +3,9 @@
 Large worlds (the 1/16 default takes a few seconds to generate, paper
 scale minutes) can be generated once and reloaded by benchmarks, the
 CLI, and notebooks. The format is a plain JSON document — stable,
-diffable, and independent of pickle.
+diffable, and independent of pickle. Follows are stored as each user's
+``follows_companies`` / ``follows_users`` lists and loaded back into
+the world's CSR follow graph.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ import gzip
 import json
 from typing import Dict
 
+from repro.graph.csr import CSR
 from repro.world.config import CalibrationParams, WorldConfig
-from repro.world.entities import (Company, FacebookPage, FundingRound,
-                                  Investment, TwitterProfile, User)
+from repro.world.entities import (Company, FacebookPage, FollowGraph,
+                                  FundingRound, Investment, TwitterProfile,
+                                  User)
 from repro.world.generator import PlantedCommunity, World
 
 FORMAT_VERSION = 1
@@ -74,9 +78,17 @@ def load_world(path: str) -> World:
     for doc in document["companies"]:
         company = _company_from(doc)
         world.companies[company.company_id] = company
+    company_rows, user_rows = [], []
     for doc in document["users"]:
-        user = _user_from(doc)
-        world.users[user.user_id] = user
+        # the follow lists become row ``user_id`` of the CSR graph
+        if doc["user_id"] != len(world.users):
+            raise ValueError("users must be stored in id order 0 .. n - 1")
+        company_rows.append(doc.pop("follows_companies"))
+        user_rows.append(doc.pop("follows_users"))
+        world.users[doc["user_id"]] = User(**doc)
+    world.set_follows(FollowGraph(
+        companies=CSR.from_rows(company_rows, len(world.companies)),
+        users=CSR.from_rows(user_rows, len(world.users))))
     world.investments = [
         Investment(investor_id=d["investor_id"], company_id=d["company_id"],
                    day=d["day"])
@@ -125,10 +137,6 @@ def _user_doc(user: User) -> Dict:
         "user_id", "name", "roles", "follows_companies", "follows_users",
         "investments", "community_ids", "primary_community_id",
         "syndicate_disclosed")}
-
-
-def _user_from(doc: Dict) -> User:
-    return User(**doc)
 
 
 def _page_doc(page: FacebookPage) -> Dict:

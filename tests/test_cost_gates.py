@@ -13,8 +13,9 @@ drawn one ``randrange`` at a time. And for the durable kernel: an
 ``apply`` whose log write grows with the units before it, or a handle
 that reads back a log record or a lease it wrote itself. And for the
 serve tier's build: a follow index that holds a Python object per edge.
-And a ratchet on the engine's knobs: a new config field or context
-parameter is counted here.
+And for the world: follow graphs held as Python lists again, or built
+with a lookup and a de-duplication per user. And a ratchet on the
+engine's knobs: a new config field or context parameter is counted here.
 """
 
 import argparse
@@ -26,6 +27,7 @@ import random
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser
@@ -48,7 +50,7 @@ from repro.util.clock import SimClock
 from repro.util.rng import RngStream
 from repro.world.config import WorldConfig
 from repro.world.dynamics import WorldDynamics
-from repro.world.generator import generate_world
+from repro.world.generator import _generate_follows, generate_world
 
 FOLLOW_EDGES = "/crawl/angellist/follow_edges"
 
@@ -491,6 +493,39 @@ def test_building_the_serve_dataset_peaks_under_5_5_mb(crawled_platform):
     # edge and per followed target, held past the build. The index peaks
     # at 4.4 MB, one follow part's decoded records at a time
     assert peak < 5_500_000
+
+
+# ---------------------------------------------------------------- the world
+def test_the_world_holds_at_most_16_bytes_a_follow_edge(tiny_world):
+    follows = tiny_world.follows
+    edges = follows.companies.num_edges + follows.users.num_edges
+    assert edges > 30_000
+    # both graphs, each forward and inverse: row starts, column ids and
+    # degrees. A Python list of ints per user held about 60 bytes an edge
+    held = sum(graph.nbytes + graph.inverse().nbytes
+               for graph in (follows.companies, follows.users))
+    assert held <= 16 * edges
+
+
+def test_generating_follows_looks_up_and_dedupes_once(fresh_world,
+                                                      monkeypatch):
+    calls = {"unique": 0, "searchsorted": 0}
+
+    def counted(name):
+        original = getattr(np, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np, name, counted(name))
+    stream = RngStream(fresh_world.config.seed, "world").child("follows")
+    _generate_follows(fresh_world, stream)
+    assert len(fresh_world.users) > 1000
+    # one lookup of every user's draws together; de-duplication is a sort
+    assert calls == {"unique": 0, "searchsorted": 1}
 
 
 # --------------------------------------------------------- the knob ratchet

@@ -1,5 +1,7 @@
 """Hysteresis tests for the serve-tier HealthMonitor state machine."""
 
+import random
+
 import pytest
 
 from repro.serve.health import (EVENT_DEGRADED, EVENT_OK, EVENT_SHED,
@@ -117,3 +119,66 @@ class TestMetricsExport:
         monitor = HealthMonitor(window=20, min_events=5)
         _feed(monitor, [EVENT_SHED] * 10)
         assert monitor.state == STATE_SHEDDING
+
+
+class _RescanMonitor(HealthMonitor):
+    """The reference: the classifier that counted the whole window on
+    every event, before the monitor kept running counts."""
+
+    def _classify(self) -> str:
+        total = len(self._events)
+        if total < self.min_events:
+            return self.state
+        shed = sum(1 for e in self._events if e == EVENT_SHED) / total
+        degraded = sum(1 for e in self._events
+                       if e == EVENT_DEGRADED) / total
+        if self.state == STATE_SHEDDING:
+            if shed > self.shed_exit:
+                return STATE_SHEDDING
+            return (STATE_DEGRADED if degraded > self.degrade_exit
+                    else STATE_HEALTHY)
+        if shed >= self.shed_enter:
+            return STATE_SHEDDING
+        if self.state == STATE_DEGRADED:
+            if degraded > self.degrade_exit:
+                return STATE_DEGRADED
+            return STATE_HEALTHY
+        if degraded >= self.degrade_enter:
+            return STATE_DEGRADED
+        return STATE_HEALTHY
+
+
+class TestRunningCountsMatchTheRescan:
+    """Seeded streams in bursts — quiet runs, brownouts, shedding storms —
+    fold through both classifiers to the same states and transitions."""
+
+    @staticmethod
+    def _stream(seed, length=3000):
+        rng = random.Random(seed)
+        events = []
+        while len(events) < length:
+            p_shed, p_degraded = rng.choice(
+                [(0.0, 0.0), (0.0, 0.02), (0.01, 0.1), (0.3, 0.2),
+                 (0.05, 0.0), (0.0, 0.6)])
+            for _ in range(rng.randrange(5, 200)):
+                draw = rng.random()
+                events.append(EVENT_SHED if draw < p_shed
+                              else EVENT_DEGRADED
+                              if draw < p_shed + p_degraded else EVENT_OK)
+        return events
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("window,min_events", [(100, 20), (20, 5),
+                                                   (1, 1), (7, 3)])
+    def test_same_states_and_transitions(self, seed, window, min_events):
+        fast = HealthMonitor(window=window, min_events=min_events)
+        slow = _RescanMonitor(window=window, min_events=min_events)
+        fast.attach_metrics(ServeMetrics())
+        slow.attach_metrics(ServeMetrics())
+        for step, event in enumerate(self._stream(seed)):
+            assert fast.record(event, step * 0.01) \
+                == slow.record(event, step * 0.01)
+        assert fast._metrics.health_transitions \
+            == slow._metrics.health_transitions
+        assert len(fast._metrics.health_transitions) > 0
+        assert fast.window_fill == slow.window_fill

@@ -61,6 +61,17 @@ if grep -rnE --include='*.py' -e 'dst_type, dst_id' \
     exit 1
 fi
 
+echo "== one world adjacency =="
+# the world's FollowGraph (two repro.graph.csr.CSR graphs) is the one
+# copy of the follow edges; a source or crawler that reads User follow
+# lists or builds the company-follower dict again holds a second copy
+if grep -rnE --include='*.py' \
+        -e 'company_followers\(|follows_companies|follows_users' \
+        src/repro/sources src/repro/crawl; then
+    echo "follow lists read outside the world's CSR graph" >&2
+    exit 1
+fi
+
 echo "== one request ladder =="
 # QueryService.execute owns steps 1-4 of a request (fresh cache, deadline
 # gate, breaker, injected faults); the sharded tier overrides only the
@@ -116,8 +127,11 @@ echo "== counted cost gates (pipeline hot paths) =="
 # For the serve build: the follow index holds at most 17 bytes an edge
 # (every column's nbytes) and ServeDataset.build's tracemalloc peak stays
 # under a bound the two-dict fold failed, held with the index against
-# that fold (rows, counts, traversals and every shard split). And the
-# knob ratchets: PlatformConfig fields and SparkLiteContext parameters
+# that fold (rows, counts, traversals and every shard split). For the
+# world: both follow graphs hold at most 16 bytes an edge forward and
+# inverse, and generating them makes one lookup and no np.unique, held
+# with the CSR graphs against the per-user list loop they replaced. And
+# the knob ratchets: PlatformConfig fields and SparkLiteContext parameters
 # (test_knob_ratchet) and the CLI's distinct options
 # (test_cli_option_ratchet) may not grow.
 # Part of tier 1 above; run by name so a renamed or deselected module
@@ -125,7 +139,7 @@ echo "== counted cost gates (pipeline hot paths) =="
 python -m pytest -q -p no:cacheprovider tests/test_cost_gates.py \
     tests/test_world_dynamics_differential.py tests/test_dfs_namespace_ops.py \
     tests/test_community_coda_differential.py tests/test_durable.py \
-    tests/test_serve_follow_index.py
+    tests/test_serve_follow_index.py tests/test_world_follows_differential.py
 
 echo "== benchmark smoke (partition recovery) =="
 # small-scale A5 run: proves losing an executor recomputes strictly
