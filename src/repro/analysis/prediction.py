@@ -82,6 +82,7 @@ def predict_success(sc: SparkLiteContext, dfs, graph: BipartiteGraph,
                    .map(lambda p: (int(p["angellist_id"]),
                                    (int(p["statuses_count"]),
                                     int(p["followers_count"])))).collect())
+    in_degrees = dict(zip(graph.companies, graph.in_degrees().tolist()))
 
     rows: List[List[float]] = []
     labels: List[float] = []
@@ -96,7 +97,7 @@ def predict_success(sc: SparkLiteContext, dfs, graph: BipartiteGraph,
             math.log1p(likes.get(cid, 0)),
             math.log1p(statuses),
             math.log1p(followers),
-            float(graph.in_degree(cid)),
+            float(in_degrees.get(cid, 0)),
         ])
         labels.append(1.0 if cid in raised else 0.0)
 

@@ -60,14 +60,13 @@ class BigClam:
                 adjacency.setdefault(a, set()).add(b)
                 adjacency.setdefault(b, set()).add(a)
         investor_ids = sorted(adjacency)
-        index = {uid: i for i, uid in enumerate(investor_ids)}
         n = len(investor_ids)
         C = self.num_communities
         if n == 0:
             return BigClamResult(investor_ids=[], F=np.zeros((0, C)),
                                  delta=0.0, iterations=0)
-        neighbors = [np.array(sorted(index[v] for v in adjacency[uid]),
-                              dtype=np.int64)
+        ids = np.array(investor_ids, dtype=np.int64)
+        neighbors = [np.searchsorted(ids, sorted(adjacency[uid]))
                      for uid in investor_ids]
 
         F = 0.1 * rng.np.random((n, C))

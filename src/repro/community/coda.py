@@ -99,21 +99,15 @@ class CoDA:
     # ------------------------------------------------------------------- fit
     def fit(self, graph: BipartiteGraph) -> CodaResult:
         rng = RngStream(self.seed, "coda")
-        investor_ids = graph.investors
-        company_ids = graph.companies
-        inv_index = {uid: i for i, uid in enumerate(investor_ids)}
-        com_index = {cid: i for i, cid in enumerate(company_ids)}
+        investor_ids, company_ids = graph.investors, graph.companies
         n_inv, n_com = len(investor_ids), len(company_ids)
 
-        pairs = np.array([(inv_index[u], com_index[c])
-                          for u, c in graph.edges()], np.int64).reshape(-1, 2)
         out_edges = sparse.csr_matrix(    # investor → company
-            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+            (np.ones(graph.num_edges), graph.out.indices, graph.out.indptr),
             shape=(n_inv, n_com))
         in_edges = out_edges.T.tocsr()    # company → investor
 
-        F, H = self._initialize(graph, investor_ids, company_ids,
-                                inv_index, com_index, rng)
+        F, H = self._initialize(graph, rng)
 
         last_ll = -np.inf
         iterations = 0
@@ -141,28 +135,22 @@ class CoDA:
 
     # -------------------------------------------------------------- internals
     def _initialize(self, graph: BipartiteGraph,
-                    investor_ids: List[int], company_ids: List[int],
-                    inv_index: Dict[int, int], com_index: Dict[int, int],
                     rng: RngStream) -> Tuple[np.ndarray, np.ndarray]:
         """Seed each community from a high-degree company neighborhood."""
-        n_inv, n_com, C = len(investor_ids), len(company_ids), \
+        n_inv, n_com, C = graph.num_investors, graph.num_companies, \
             self.num_communities
         F = 0.05 * rng.np.random((n_inv, C))
         H = 0.05 * rng.np.random((n_com, C))
-        seeds = select_seed_companies(graph, C, rng)
-        for c, company in enumerate(seeds):
-            H[com_index[company], c] += 1.0
-            backers = graph.backers(company)
-            for u in backers:
-                F[inv_index[u], c] += 1.0
-            # Pull in companies co-invested by ≥ 2 of the seed's backers.
-            counts: Dict[int, int] = {}
-            for u in backers:
-                for other in graph.portfolio(u):
-                    counts[other] = counts.get(other, 0) + 1
-            for other, count in counts.items():
-                if count >= 2 and other != company:
-                    H[com_index[other], c] += 0.5
+        out, backers_of = graph.out, graph.out.inverse()
+        for c, col in enumerate(select_seed_companies(graph, C, rng)):
+            H[col, c] += 1.0
+            backers = backers_of.row(col)
+            F[backers, c] += 1.0
+            # Pull in companies co-invested by ≥ 2 of its (≥ 1) backers.
+            held = np.concatenate([out.row(u) for u in backers.tolist()])
+            pulled = np.bincount(held, minlength=n_com) >= 2
+            pulled[col] = False
+            H[pulled, c] += 0.5
         return F, H
 
     def _extract_communities(self, result: CodaResult) -> None:

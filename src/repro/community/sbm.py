@@ -74,16 +74,13 @@ class BipartiteSBM:
 
     def _fit_once(self, graph: BipartiteGraph, seed_offset: int) -> SbmResult:
         rng = RngStream(self.seed + 7919 * seed_offset, "sbm")
-        investor_ids = graph.investors
-        company_ids = graph.companies
-        inv_index = {u: i for i, u in enumerate(investor_ids)}
-        com_index = {c: j for j, c in enumerate(company_ids)}
+        investor_ids, company_ids = graph.investors, graph.companies
         n, m = len(investor_ids), len(company_ids)
         K = min(self.num_groups, max(1, n), max(1, m))
 
         A = np.zeros((n, m))
-        for u, c in graph.edges():
-            A[inv_index[u], com_index[c]] = 1.0
+        rows = np.repeat(np.arange(n), graph.out_degrees())
+        A[rows, graph.out.indices] = 1.0
 
         inv_groups, com_groups = self._spectral_init(A, K, rng)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.community.coda import CoDA, CodaResult
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.csr import position
 from repro.util.rng import RngStream
 
 
@@ -38,7 +39,7 @@ def split_edges(graph: BipartiteGraph, holdout_fraction: float,
     """Randomly hide ``holdout_fraction`` of edges; returns (train, held)."""
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must be in (0, 1)")
-    edges = sorted(graph.edges())
+    edges = list(graph.edges())         # ascending
     rng.shuffle(edges)
     cut = max(1, int(round(len(edges) * holdout_fraction)))
     held, train = edges[:cut], edges[cut:]
@@ -48,12 +49,12 @@ def split_edges(graph: BipartiteGraph, holdout_fraction: float,
 def edge_scores(result: CodaResult,
                 pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
     """Model probability of each (investor, company) pair existing."""
-    inv_index = {u: i for i, u in enumerate(result.investor_ids)}
-    com_index = {c: j for j, c in enumerate(result.company_ids)}
+    investors = memoryview(np.asarray(result.investor_ids, dtype=np.int64))
+    companies = memoryview(np.asarray(result.company_ids, dtype=np.int64))
     scores = np.zeros(len(pairs))
     for k, (u, c) in enumerate(pairs):
-        i, j = inv_index.get(u), com_index.get(c)
-        if i is None or j is None:
+        i, j = position(investors, u), position(companies, c)
+        if i < 0 or j < 0:
             continue  # cold node: probability ≈ background (score 0)
         scores[k] = 1.0 - float(np.exp(-result.F[i] @ result.H[j]))
     return scores

@@ -91,5 +91,4 @@ def graph_to_graphml(graph: BipartiteGraph, path: str) -> int:
 def edges_to_csv(graph: BipartiteGraph, path: str) -> int:
     """Plain ``investor_id,company_id`` edge list (R/pandas-friendly)."""
     rows = [{"investor_id": u, "company_id": c} for u, c in graph.edges()]
-    rows.sort(key=lambda r: (r["investor_id"], r["company_id"]))
     return write_csv(path, rows, columns=["investor_id", "company_id"])

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from itertools import chain, combinations
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.graph.csr import CSR, position
 
 
 @dataclass
@@ -24,77 +28,92 @@ class DegreeConcentration:
 class BipartiteGraph:
     """Directed bipartite graph: investors → companies.
 
-    Stored as adjacency sets both ways. Construction drops duplicate
-    edges; investors enter the graph only if they have ≥ 1 investment
-    (the paper omits non-investing investors).
+    Sorted ids ``investor_ids`` and ``company_ids``, and one :class:`CSR`
+    ``out`` from investor row ``r`` (``investor_ids[r]``) to company
+    column ``c`` (``company_ids[c]``), whose cached inverse holds the
+    backers. Duplicate edges are dropped; investors enter the graph only
+    with ≥ 1 investment (the paper omits non-investing investors).
     """
 
-    def __init__(self, edges: Iterable[Tuple[int, int]]):
-        self._out: Dict[int, Set[int]] = {}
-        self._in: Dict[int, Set[int]] = {}
-        count = 0
-        for investor, company in edges:
-            targets = self._out.setdefault(investor, set())
-            if company not in targets:
-                targets.add(company)
-                self._in.setdefault(company, set()).add(investor)
-                count += 1
-        self.num_edges = count
+    def __init__(self, edges: Iterable[Tuple[int, int]] = ()):
+        ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+        self.investor_ids, rows = np.unique(ends[0::2], return_inverse=True)
+        self.company_ids, cols = np.unique(ends[1::2], return_inverse=True)
+        self.out = CSR.from_keys(rows * self.num_companies + cols,
+                                 self.num_investors, self.num_companies)
 
     # ------------------------------------------------------------- basic stats
     @property
     def investors(self) -> List[int]:
-        return sorted(self._out)
+        return self.investor_ids.tolist()
 
     @property
     def companies(self) -> List[int]:
-        return sorted(self._in)
+        return self.company_ids.tolist()
 
     @property
     def num_investors(self) -> int:
-        return len(self._out)
+        return len(self.investor_ids)
 
     @property
     def num_companies(self) -> int:
-        return len(self._in)
+        return len(self.company_ids)
 
-    def portfolio(self, investor: int) -> Set[int]:
-        """Companies the investor invested in (empty set if unknown)."""
-        return self._out.get(investor, set())
+    @property
+    def num_edges(self) -> int:
+        return self.out.num_edges
 
-    def portfolios(self) -> Dict[int, Set[int]]:
+    def portfolio(self, investor: int) -> FrozenSet[int]:
+        """Companies the investor invested in (empty if unknown)."""
+        at = position(memoryview(self.investor_ids), investor)
+        return frozenset(self.company_ids[self.out.row(at)].tolist()
+                         if at >= 0 else ())
+
+    def portfolios(self) -> Dict[int, FrozenSet[int]]:
         """investor → company-set map (the metrics' input format)."""
-        return dict(self._out)
+        return {investor: self.portfolio(investor)
+                for investor in self.investors}
 
-    def backers(self, company: int) -> Set[int]:
-        return self._in.get(company, set())
+    def backers(self, company: int) -> FrozenSet[int]:
+        at = position(memoryview(self.company_ids), company)
+        return frozenset(self.investor_ids[self.out.inverse().row(at)]
+                         .tolist() if at >= 0 else ())
 
     def out_degree(self, investor: int) -> int:
-        return len(self._out.get(investor, ()))
+        at = position(memoryview(self.investor_ids), investor)
+        return self.out.degree[at] if at >= 0 else 0
 
     def in_degree(self, company: int) -> int:
-        return len(self._in.get(company, ()))
+        at = position(memoryview(self.company_ids), company)
+        return self.out.inverse().degree[at] if at >= 0 else 0
 
     def out_degrees(self) -> np.ndarray:
-        return np.array([len(v) for v in self._out.values()], dtype=np.int64)
+        """Each investor's out-degree, in ``investor_ids`` order."""
+        return np.asarray(self.out.degree, dtype=np.int64)
 
     def in_degrees(self) -> np.ndarray:
-        return np.array([len(v) for v in self._in.values()], dtype=np.int64)
+        """Each company's in-degree, in ``company_ids`` order."""
+        return np.asarray(self.out.inverse().degree, dtype=np.int64)
 
     @property
     def mean_investors_per_company(self) -> float:
-        if not self._in:
+        if not self.num_companies:
             return 0.0
         return self.num_edges / self.num_companies
 
     # --------------------------------------------------------------- filtering
     def filter_investors(self, min_degree: int) -> "BipartiteGraph":
-        """Subgraph of investors with ≥ ``min_degree`` investments (§5.2)."""
-        return BipartiteGraph(
-            (inv, c)
-            for inv, targets in self._out.items()
-            if len(targets) >= min_degree
-            for c in targets)
+        """Subgraph of investors with ≥ ``min_degree`` investments (§5.2);
+        companies left without a backer are dropped."""
+        keep = self.out_degrees() >= min_degree
+        rows = self.out.select(keep)
+        used = np.bincount(rows.indices, minlength=self.num_companies) > 0
+        graph = BipartiteGraph()
+        graph.investor_ids = self.investor_ids[keep]
+        graph.company_ids = self.company_ids[used]
+        graph.out = CSR(rows.indptr, (np.cumsum(used) - 1)[rows.indices],
+                        graph.num_companies)
+        return graph
 
     # ---------------------------------------------------------------- analyses
     def degree_concentration(
@@ -121,28 +140,24 @@ class BipartiteGraph:
         Used by the baseline community detectors that need an undirected
         one-mode graph. Weight = number of co-invested companies.
         """
-        weights: Dict[Tuple[int, int], int] = {}
-        for backers in self._in.values():
-            members = sorted(backers)
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
-                    key = (a, b)
-                    weights[key] = weights.get(key, 0) + 1
-        return weights
+        backers = self.out.inverse()
+        return dict(Counter(
+            pair for company in range(self.num_companies)
+            for pair in combinations(
+                self.investor_ids[backers.row(company)].tolist(), 2)))
 
-    def edges(self) -> Iterable[Tuple[int, int]]:
-        for investor, targets in self._out.items():
-            for company in targets:
-                yield (investor, company)
+    def edges(self) -> Iterator[Tuple[int, int]]:
+        """Every edge once, ascending ``(investor, company)``."""
+        investors = np.repeat(self.investor_ids, np.asarray(self.out.degree))
+        return zip(investors.tolist(),
+                   self.company_ids[self.out.indices].tolist())
 
     def to_networkx(self):
         """A ``networkx.DiGraph`` view (for centrality features)."""
         import networkx as nx
         graph = nx.DiGraph()
-        for investor in self._out:
-            graph.add_node(("i", investor), bipartite=0)
-        for company in self._in:
-            graph.add_node(("c", company), bipartite=1)
-        for investor, company in self.edges():
-            graph.add_edge(("i", investor), ("c", company))
+        graph.add_nodes_from((("i", u) for u in self.investors), bipartite=0)
+        graph.add_nodes_from((("c", c) for c in self.companies), bipartite=1)
+        graph.add_edges_from((("i", u), ("c", c)) for u, c in self.edges())
         return graph
+

@@ -1,4 +1,5 @@
-"""One compressed-sparse-row adjacency: the world's follow graphs.
+"""One compressed-sparse-row adjacency: the world's follow graphs, the
+investment graph and the serve tier's follow index.
 
 A :class:`CSR` is an ``int32`` column array sliced per row by an
 ``int64`` row-start array: row ``r``'s neighbours are
@@ -14,6 +15,7 @@ first use and cached.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
@@ -24,7 +26,7 @@ class CSR:
     """An immutable sparse adjacency with sorted rows."""
 
     __slots__ = ("indptr", "indices", "n_cols", "degree", "_starts",
-                 "_inverse")
+                 "_columns", "_inverse")
 
     def __init__(self, indptr, indices, n_cols: int):
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -42,6 +44,7 @@ class CSR:
         # indexing a memoryview yields Python ints, twice as fast as a
         # numpy scalar step: the per-request reads go through them
         self._starts = memoryview(self.indptr)
+        self._columns = memoryview(self.indices)
         degrees = np.diff(self.indptr).astype(np.int32)
         degrees.flags.writeable = False
         #: row → number of columns; ``degree[r]`` is a Python int and
@@ -61,7 +64,7 @@ class CSR:
         # sort and drop repeats: np.unique hashes first, which costs
         # several times the sort on these keys
         keys.sort()
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         counts = np.bincount(keys // n_cols, minlength=n_rows)
         np.remainder(keys, n_cols, out=keys)
         return cls(np.concatenate(([0], np.cumsum(counts))), keys, n_cols)
@@ -75,6 +78,13 @@ class CSR:
         indices = np.fromiter(chain.from_iterable(rows), dtype=np.int32,
                               count=int(indptr[-1]))
         return cls(indptr, indices, n_cols)
+
+    def select(self, keep: np.ndarray) -> "CSR":
+        """The rows where the boolean mask ``keep`` is set, in order,
+        over the same columns."""
+        degrees = np.asarray(self.degree)
+        return CSR(np.concatenate(([0], np.cumsum(degrees[keep]))),
+                   self.indices[np.repeat(keep, degrees)], self.n_cols)
 
     # ----------------------------------------------------------- reads
     @property
@@ -92,6 +102,10 @@ class CSR:
     def row(self, row: int) -> np.ndarray:
         """Row ``row``'s columns, ascending (a read-only view)."""
         return self.indices[self._starts[row]:self._starts[row + 1]]
+
+    def ids(self, row: int) -> List[int]:
+        """Row ``row``'s columns, ascending, as Python ints."""
+        return self._columns[self._starts[row]:self._starts[row + 1]].tolist()
 
     def page(self, row: int, page: int,
              per_page: int) -> Tuple[List[int], int]:
@@ -115,3 +129,9 @@ class CSR:
             self._inverse = CSR(np.concatenate(([0], np.cumsum(counts))),
                                 sources[order], self.n_rows)
         return self._inverse
+
+
+def position(ids: memoryview, key: int) -> int:
+    """``key``'s index in the sorted ``ids`` (a memoryview), or -1."""
+    at = bisect_left(ids, key)
+    return at if at < len(ids) and ids[at] == key else -1

@@ -23,7 +23,7 @@ builds over the same crawl are identical.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Set, Tuple)
@@ -34,6 +34,7 @@ from repro.community.labelprop import label_propagation
 from repro.dfs.filesystem import HedgedRead, MiniDfs
 from repro.dfs.jsonlines import decode_line, decode_lines
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.csr import CSR, position
 from repro.util.errors import ConfigError, StorageError
 
 #: the query kinds the service answers
@@ -110,10 +111,14 @@ class SpanIndex:
         return self.columns() == other.columns()
 
 
-#: a follow record's ``dst_type``, by its one-byte code (the strings'
-#: own order, so a row sorted by code is sorted by ``(dst_type, dst_id)``)
+#: a follow record's ``dst_type``, by its code (the strings' own order,
+#: so a row of startups then users is sorted by ``(dst_type, dst_id)``)
 FOLLOW_TYPES = ("startup", "user")
 _TYPE_CODE = {name: code for code, name in enumerate(FOLLOW_TYPES)}
+#: follow target ids live in ``int32`` columns: ``0 <= dst_id < 2**31``
+_ID_LIMIT = 2 ** 31
+#: the graph of an index with no rows (immutable, so shared)
+_NO_ROWS = CSR([0], [], _ID_LIMIT)
 
 #: a user's ``(followed user ids, followed company ids)``
 Targets = Tuple[Sequence[int], Sequence[int]]
@@ -121,71 +126,55 @@ Targets = Tuple[Sequence[int], Sequence[int]]
 NO_TARGETS: Targets = ((), ())
 
 
-def _int64(values: Iterable[int] = ()) -> np.ndarray:
-    return np.ascontiguousarray(values, dtype=np.int64)
-
-
 class FollowIndex:
     """The follow graph: each user's out-row and each target's follower
-    count, as six flat columns.
+    count.
 
-    The out-rows are CSR: ``_src_users`` (sorted ``int64`` user ids) and
-    ``_row_starts`` (one more entry than users) slice the per-edge
-    ``_dst_is_user`` (``uint8``: 0 startup, 1 user) and ``_dst_ids``
-    (``int64``) columns, every row sorted by ``(dst_type, dst_id)``. The
-    in-counts are ``_count_keys`` (sorted ``2 * dst_id + is_user``) with
-    ``_counts``. About 12 bytes an edge, where a dict of ``(dst_type,
-    dst_id)`` tuple lists cost ≈130. Callers see a read-only mapping of
-    user id → sorted ``[(dst_type, dst_id)]`` row plus the methods
-    below; nothing outside this module knows the columns.
-
-    Each column is a ``memoryview`` of a numpy buffer: a look-up bisects
-    it and reads Python ints straight out (a numpy scalar costs twice as
-    much a step); the bulk paths wrap it back with ``np.asarray``.
+    The rows take the world's follow-graph layout: ``_users`` (sorted
+    ``int64`` ids; ``_users[r]`` owns row ``r``) and two :class:`CSR`
+    graphs over those rows, ``_startups`` and ``_followed`` (the followed
+    company and user ids, ascending ``int32``). The in-counts are
+    ``_count_keys`` (sorted ``2 * dst_id + is_user``) with ``_counts``.
+    Callers see a read-only mapping of user id → sorted ``[(dst_type,
+    dst_id)]`` row plus the methods below; nothing outside this module
+    knows the arrays. A look-up bisects the ``_users`` memoryview and
+    reads Python ints through :meth:`CSR.ids`.
     """
 
-    __slots__ = ("_src_users", "_row_starts", "_dst_is_user", "_dst_ids",
-                 "_count_keys", "_counts")
+    __slots__ = ("_users", "_startups", "_followed", "_count_keys",
+                 "_counts")
 
-    def __init__(self, src_users=(), row_starts=(0,), dst_is_user=(),
-                 dst_ids=(), count_keys=(), counts=()):
-        self._src_users = memoryview(_int64(src_users))
-        self._row_starts = memoryview(_int64(row_starts))
-        self._dst_is_user = memoryview(np.ascontiguousarray(
-            dst_is_user, dtype=np.uint8))
-        self._dst_ids = memoryview(_int64(dst_ids))
-        self._count_keys = memoryview(_int64(count_keys))
-        self._counts = memoryview(_int64(counts))
-
-    def _columns(self) -> Tuple[np.ndarray, ...]:
-        """The six columns as numpy arrays (no copy), in slot order."""
-        return tuple(np.asarray(getattr(self, name))
-                     for name in self.__slots__)
+    def __init__(self, users=(), startups: CSR = _NO_ROWS,
+                 followed: CSR = _NO_ROWS, count_keys=(), counts=()):
+        self._users = memoryview(np.asarray(users, dtype=np.int64))
+        self._startups, self._followed = startups, followed
+        self._count_keys = memoryview(np.asarray(count_keys, np.int64))
+        self._counts = memoryview(np.asarray(counts, np.int64))
 
     # -------------------------------------------------------- constructors
     @classmethod
     def from_edges(cls, src, dst_is_user, dst_ids,
                    count_keys=None, counts=None) -> "FollowIndex":
         """Index the edges ``src → (dst_is_user, dst_ids)`` (parallel
-        columns, any order). Their follower counts are the edges' own
-        unless ``count_keys``/``counts`` (any order) are given."""
-        src, dst_ids = _int64(src), _int64(dst_ids)
-        dst_is_user = np.asarray(dst_is_user, dtype=np.uint8)
-        order = np.lexsort((dst_ids, dst_is_user, src))
-        src = src[order]
-        dst_is_user, dst_ids = dst_is_user[order], dst_ids[order]
-        heads = np.ones(len(src), dtype=bool)
-        heads[1:] = src[1:] != src[:-1]
-        firsts = np.flatnonzero(heads)
+        ``int64`` columns, any order; a repeated edge is kept once). Their
+        follower counts are the edges' own unless ``count_keys``/``counts``
+        (any order) are given."""
+        is_user = np.asarray(dst_is_user, dtype=bool)
+        users, rows = np.unique(src, return_inverse=True)
+        startups, followed = (
+            CSR.from_keys(rows[side] * _ID_LIMIT + dst_ids[side],
+                          len(users), _ID_LIMIT)
+            for side in (~is_user, is_user))
         if count_keys is None:
-            count_keys, counts = np.unique(dst_ids * 2 + dst_is_user,
-                                           return_counts=True)
+            keys = np.concatenate((startups.indices, followed.indices)
+                                  ).astype(np.int64) * 2
+            keys[startups.num_edges:] += 1
+            count_keys, counts = np.unique(keys, return_counts=True)
         else:
-            count_keys, counts = _int64(count_keys), _int64(counts)
             order = np.argsort(count_keys, kind="stable")
-            count_keys, counts = count_keys[order], counts[order]
-        return cls(src[firsts], np.append(firsts, len(src)), dst_is_user,
-                   dst_ids, count_keys, counts)
+            count_keys, counts = (np.asarray(count_keys)[order],
+                                  np.asarray(counts)[order])
+        return cls(users, startups, followed, count_keys, counts)
 
     @classmethod
     def from_rows(cls, rows: Dict[int, Iterable[Tuple[str, int]]],
@@ -193,14 +182,13 @@ class FollowIndex:
                   = None) -> "FollowIndex":
         """From ``user → [(dst_type, dst_id)]`` rows (and, if given,
         ``(dst_type, dst_id) → count``; else the rows' own counts)."""
-        edges = [(int(src), _type_code(dst_type), int(dst_id))
-                 for src, row in rows.items() for dst_type, dst_id in row]
-        src, dst_is_user, dst_ids = (zip(*edges) if edges
-                                     else ((), (), ()))
+        src, dst_is_user, dst_ids = np.array(
+            [(src, *_target(dst_type, dst_id)) for src, row in rows.items()
+             for dst_type, dst_id in row], dtype=np.int64).reshape(-1, 3).T
         if follower_counts is None:
             return cls.from_edges(src, dst_is_user, dst_ids)
-        keys = [2 * int(dst_id) + _type_code(dst_type)
-                for dst_type, dst_id in follower_counts]
+        keys = [2 * dst_id + code for code, dst_id
+                in (_target(*target) for target in follower_counts)]
         return cls.from_edges(src, dst_is_user, dst_ids, keys,
                               list(follower_counts.values()))
 
@@ -212,8 +200,9 @@ class FollowIndex:
 
         Each part is decoded once into three columns; no per-edge Python
         object outlives its part. A record whose ``dst_type`` is neither
-        ``startup`` nor ``user`` raises :class:`StorageError` naming the
-        part and the line.
+        ``startup`` nor ``user``, or whose ``dst_id`` is not in
+        ``[0, 2**31)``, raises :class:`StorageError` naming the part and
+        the line.
         """
         columns = []
         for path in _parts_of(dfs, directory):
@@ -234,68 +223,55 @@ class FollowIndex:
                              counts)
 
     # -------------------------------------------------------------- queries
-    def _row(self, uid: int) -> Optional[Tuple[int, int]]:
-        """``(start, end)`` of the user's row, or ``None``."""
-        users = self._src_users
-        at = bisect_left(users, uid)
-        if at == len(users) or users[at] != uid:
-            return None
-        return self._row_starts[at], self._row_starts[at + 1]
-
     def targets(self, uid: int) -> Targets:
         """``(followed user ids, followed company ids)`` of a user, each
         ascending; both empty for a user with no row."""
-        row = self._row(uid)
-        if row is None:
+        row = position(self._users, uid)
+        if row < 0:
             return NO_TARGETS
-        start, end = row
-        # startups (code 0) lead a row, users follow
-        ids = self._dst_ids[start:end].tolist()
-        split = bisect_left(self._dst_is_user, 1, start, end) - start
-        return ids[split:], ids[:split]
+        return self._followed.ids(row), self._startups.ids(row)
 
     def get(self, uid: int, default: Any = None) -> Any:
         """The user's row as a sorted ``[(dst_type, dst_id)]`` list."""
-        if self._row(uid) is None:
+        if position(self._users, uid) < 0:
             return default
         users, companies = self.targets(uid)
         return ([("startup", c) for c in companies]
                 + [("user", u) for u in users])
 
     def out_degree(self, uid: int) -> int:
-        row = self._row(uid)
-        return 0 if row is None else row[1] - row[0]
+        row = position(self._users, uid)
+        return 0 if row < 0 else (self._startups.degree[row]
+                                  + self._followed.degree[row])
 
     def followers(self, dst_type: str, dst_id: int) -> int:
         """How many follow edges point at ``(dst_type, dst_id)``."""
-        key = 2 * int(dst_id) + _TYPE_CODE[dst_type]
-        keys = self._count_keys
-        at = bisect_left(keys, key)
-        if at == len(keys) or keys[at] != key:
-            return 0
-        return self._counts[at]
+        at = position(self._count_keys,
+                      2 * int(dst_id) + _TYPE_CODE[dst_type])
+        return 0 if at < 0 else self._counts[at]
 
     def __iter__(self) -> Iterator[int]:
         """User ids with a row, ascending, as Python ints."""
-        return iter(self._src_users.tolist())
+        return iter(self._users.tolist())
 
     def __len__(self) -> int:
-        return len(self._src_users)
+        return len(self._users)
 
     @property
     def num_edges(self) -> int:
-        return len(self._dst_ids)
+        return self._startups.num_edges + self._followed.num_edges
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by every column."""
-        return sum(getattr(self, name).nbytes for name in self.__slots__)
+        """Bytes held by every array, the graphs' degrees included."""
+        return sum(part.nbytes for part in (
+            self._users, self._startups, self._followed, self._count_keys,
+            self._counts))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FollowIndex):
             return NotImplemented
-        return all(np.array_equal(mine, theirs) for mine, theirs
-                   in zip(self._columns(), other._columns()))
+        return self.to_doc() == other.to_doc()
 
     def __repr__(self) -> str:
         return (f"FollowIndex(users={len(self)}, edges={self.num_edges}, "
@@ -306,35 +282,30 @@ class FollowIndex:
               num_shards: int) -> List["FollowIndex"]:
         """One index per shard: a row goes to ``owner(user id)``, a
         follower count to ``owner(dst_id)``."""
-        users, starts, is_user, ids, keys, counts = self._columns()
-        lengths = np.diff(starts)
+        users = np.asarray(self._users)
+        keys, counts = np.asarray(self._count_keys), np.asarray(self._counts)
         row_owner = np.fromiter(map(owner, users.tolist()), np.int64,
                                 len(users))
-        edge_owner = np.repeat(row_owner, lengths)
         count_owner = np.fromiter(map(owner, (keys >> 1).tolist()),
                                   np.int64, len(keys))
-        shards = []
-        for sid in range(num_shards):
-            rows = row_owner == sid
-            edges = edge_owner == sid
-            counted = count_owner == sid
-            shards.append(FollowIndex(
-                users[rows], np.concatenate(([0], np.cumsum(lengths[rows]))),
-                is_user[edges], ids[edges], keys[counted], counts[counted]))
-        return shards
+        return [FollowIndex(users[rows], self._startups.select(rows),
+                            self._followed.select(rows), keys[counted],
+                            counts[counted])
+                for rows, counted in ((row_owner == sid, count_owner == sid)
+                                      for sid in range(num_shards))]
 
     def to_doc(self) -> Dict[str, Dict]:
         """The persisted form: ``follows_out`` maps a decimal user id to
         its ``[[dst_type, dst_id], …]`` row, ``follower_counts`` maps
         ``"dst_type:dst_id"`` to its count."""
-        types = [FOLLOW_TYPES[code] for code in self._dst_is_user.tolist()]
-        ids = self._dst_ids.tolist()
-        starts = self._row_starts.tolist()
+        (c_ids, c_at), (u_ids, u_at) = (
+            (graph.indices.tolist(), graph.indptr.tolist())
+            for graph in (self._startups, self._followed))
         follows_out = {
-            str(uid): [[t, i] for t, i in zip(types[start:end],
-                                              ids[start:end])]
-            for uid, start, end in zip(self._src_users.tolist(),
-                                       starts, starts[1:])}
+            str(uid): ([["startup", i] for i in c_ids[c0:c1]]
+                       + [["user", i] for i in u_ids[u0:u1]])
+            for uid, c0, c1, u0, u1 in zip(self._users.tolist(), c_at,
+                                           c_at[1:], u_at, u_at[1:])}
         follower_counts = {
             f"{FOLLOW_TYPES[key & 1]}:{key >> 1}": count
             for key, count in zip(self._count_keys.tolist(),
@@ -351,24 +322,29 @@ def _follow_part(path: str, text: str,
     n = len(records)
     codes = np.fromiter((_TYPE_CODE.get(r["dst_type"], 255)
                          for r in records), np.uint8, n)
-    bad = np.flatnonzero(codes == 255)
+    dst_ids = np.fromiter((r["dst_id"] for r in records), np.int64, n)
+    bad = np.flatnonzero((codes == 255) | (dst_ids < 0)
+                         | (dst_ids >= _ID_LIMIT))
     if len(bad):
         index = int(bad[0])
-        raise StorageError(
-            f"{path} line {_line_number(text, index)}: follow record "
-            f"dst_type {records[index]['dst_type']!r} is not one of "
-            f"{FOLLOW_TYPES}")
+        _target(records[index]["dst_type"], records[index]["dst_id"],
+                f"{path} line {_line_number(text, index)}: ")
     return (np.fromiter((r["src_user"] for r in records), np.int64, n),
-            codes,
-            np.fromiter((r["dst_id"] for r in records), np.int64, n))
+            codes, dst_ids)
 
 
-def _type_code(dst_type: str) -> int:
+def _target(dst_type: str, dst_id: int, where: str = "") -> Tuple[int, int]:
+    """``(type code, id)`` of a follow target, or :class:`StorageError`
+    (its message led by ``where``)."""
     code = _TYPE_CODE.get(dst_type)
     if code is None:
-        raise StorageError(f"follow dst_type {dst_type!r} is not one of "
-                           f"{FOLLOW_TYPES}")
-    return code
+        raise StorageError(f"{where}follow record dst_type {dst_type!r} is "
+                           f"not one of {FOLLOW_TYPES}")
+    dst_id = int(dst_id)
+    if not 0 <= dst_id < _ID_LIMIT:
+        raise StorageError(f"{where}follow record dst_id {dst_id} is not in "
+                           f"[0, 2**31)")
+    return code, dst_id
 
 
 def _line_number(text: str, index: int) -> int:
@@ -507,11 +483,9 @@ class ServeDataset:
             for investor in investor_ids:
                 edges.add((investor, cid))
 
-        for investor, company in sorted(edges):
-            ds.portfolio.setdefault(investor, []).append(company)
-            ds.backers.setdefault(company, []).append(investor)
-
-        graph = BipartiteGraph(sorted(edges))
+        graph = BipartiteGraph(edges)
+        ds.portfolio = {u: sorted(graph.portfolio(u)) for u in graph.investors}
+        ds.backers = {c: sorted(graph.backers(c)) for c in graph.companies}
         communities = label_propagation(graph, seed=community_seed)
         for label, members in sorted(communities.items()):
             ordered = sorted(members)

@@ -195,14 +195,14 @@ class User:
         """Followed company ids, ascending (a fresh list)."""
         if self._follows is None:
             return []
-        return self._follows.companies.row(self.user_id).tolist()
+        return self._follows.companies.ids(self.user_id)
 
     @property
     def follows_users(self) -> List[int]:
         """Followed user ids, ascending (a fresh list)."""
         if self._follows is None:
             return []
-        return self._follows.users.row(self.user_id).tolist()
+        return self._follows.users.ids(self.user_id)
 
     def angellist_json(self) -> Dict:
         syndicate = (self.primary_community_id

@@ -105,7 +105,7 @@ class World:
     def company_followers(self) -> Dict[int, List[int]]:
         """Company id → follower user ids, ascending (fresh lists)."""
         inverse = self.follows.companies.inverse()
-        return {cid: inverse.row(cid).tolist() for cid in self.companies}
+        return {cid: inverse.ids(cid) for cid in self.companies}
 
     def summary(self) -> Dict[str, float]:
         """Headline ground-truth statistics (compare with DESIGN.md §5)."""

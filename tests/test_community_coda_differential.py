@@ -87,8 +87,7 @@ def reference_fit(model, graph):
                          dtype=np.int64) for u in investor_ids]
     in_nbrs = [np.array(sorted(inv_index[u] for u in graph.backers(c)),
                         dtype=np.int64) for c in company_ids]
-    F, H = model._initialize(graph, investor_ids, company_ids,
-                             inv_index, com_index, rng)
+    F, H = model._initialize(graph, rng)
     sum_F, sum_H = F.sum(axis=0), H.sum(axis=0)
     trajectory = []
     last_ll = -np.inf

@@ -481,6 +481,15 @@ def test_the_follow_index_holds_at_most_17_bytes_an_edge(crawled_platform):
     assert index.nbytes <= 17 * index.num_edges
 
 
+def test_the_follow_index_holds_at_most_10_bytes_an_edge(crawled_platform):
+    index = crawled_platform.serve_dataset().follows_out
+    assert index.num_edges > 30_000
+    # every array counted: the sorted user ids, both CSR graphs (row
+    # starts, degrees and int32 target ids), the count keys and counts.
+    # The six-column layout before them held 12.3 bytes an edge
+    assert index.nbytes <= 10 * index.num_edges
+
+
 def test_building_the_serve_dataset_peaks_under_5_5_mb(crawled_platform):
     ServeDataset.build(crawled_platform.dfs)    # imports, first-use caches
     tracemalloc.start()

@@ -179,7 +179,8 @@ def test_empty_index():
 
 
 class TestBadFollowType:
-    """A follow record must target a ``startup`` or a ``user``."""
+    """A follow record must target a ``startup`` or a ``user``, by an id
+    in ``[0, 2**31)``."""
 
     def test_build_names_the_part_and_line(self, small_crawl):
         with JsonLinesWriter(small_crawl, FOLLOW_EDGES,
@@ -208,3 +209,37 @@ class TestBadFollowType:
         with pytest.raises(StorageError, match="'company'"):
             FollowIndex.from_doc({"follows_out": {},
                                   "follower_counts": {"company:2": 1}})
+
+    # a target id must fit the index's int32 columns: 0 <= dst_id < 2**31
+    @pytest.mark.parametrize("dst_id", [-1, 2 ** 31, 2 ** 40])
+    def test_bad_id_names_the_part_and_line(self, small_crawl, dst_id):
+        with JsonLinesWriter(small_crawl, FOLLOW_EDGES,
+                             start_part_index=7) as writer:
+            writer.write_all([
+                {"src_user": 1000, "dst_type": "user", "dst_id": 1001},
+                {"src_user": 1001, "dst_type": "startup",
+                 "dst_id": dst_id},
+                {"src_user": 1001, "dst_type": "user", "dst_id": 1000}])
+        with pytest.raises(StorageError) as err:
+            ServeDataset.build(small_crawl)
+        message = str(err.value)
+        assert f"{FOLLOW_EDGES}/part-00007.jsonl line 2" in message
+        assert f"dst_id {dst_id} " in message
+
+    def test_the_largest_id_fits(self):
+        index = FollowIndex.from_rows({1: [("user", 2 ** 31 - 1)]})
+        assert index.targets(1) == ([2 ** 31 - 1], [])
+        assert index.followers("user", 2 ** 31 - 1) == 1
+
+    @pytest.mark.parametrize("dst_id", [-1, 2 ** 31])
+    def test_bad_ids_in_rows_and_docs_are_checked_too(self, dst_id):
+        with pytest.raises(StorageError, match=f"dst_id {dst_id} "):
+            FollowIndex.from_rows({1: [("startup", dst_id)]})
+        with pytest.raises(StorageError, match=f"dst_id {dst_id} "):
+            FollowIndex.from_doc({
+                "follows_out": {"1": [["user", dst_id]]},
+                "follower_counts": {}})
+        with pytest.raises(StorageError, match=f"dst_id {dst_id} "):
+            FollowIndex.from_doc({
+                "follows_out": {},
+                "follower_counts": {f"user:{dst_id}": 1}})

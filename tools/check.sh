@@ -49,15 +49,32 @@ if grep -nF -e 'json.loads(self.dfs.read_text(' -e 'MANIFEST' \
 fi
 
 echo "== one follow-index layout =="
-# repro.serve.dataset.FollowIndex owns the follow graph's layout (CSR out-
-# rows over a one-byte type column and an id column, sorted count keys);
-# a serve module that builds (dst_type, dst_id) tuples again, or reads
-# the index's columns, is a second layout waiting to drift
+# repro.serve.dataset.FollowIndex owns the follow graph's layout (sorted
+# user ids, two CSR graphs of followed startups and users, sorted count
+# keys); a serve module that builds (dst_type, dst_id) tuples again, or
+# reads the index's arrays, is a second layout waiting to drift
 if grep -rnE --include='*.py' -e 'dst_type, dst_id' \
         -e '\("(user|startup)", ' -e 'follower_counts' \
-        -e '_src_users|_row_starts|_dst_is_user|_dst_ids|_count_keys' \
+        -e '\._(users|startups|followed|count_keys)\b' \
         src/repro/serve | grep -v '^src/repro/serve/dataset\.py:'; then
     echo "follow-index layout handled outside src/repro/serve/dataset.py" >&2
+    exit 1
+fi
+
+echo "== one sorted adjacency =="
+# repro.graph.csr.CSR is the one sorted-adjacency type: the world's
+# follow graphs, the investment graph (which CoDA and the SBM read as
+# arrays) and the serve follow index. A lexsorted column set or a
+# hand-kept row-start array in the serve tier, an id -> position dict in
+# the community models, or a dict of sets in the graph package is a
+# second copy of it
+if grep -rnE --include='*.py' -e 'np\.lexsort|_row_starts' src/repro/serve \
+    || grep -rnE --include='*.py' \
+        -e 'enumerate\(([a-z_]+\.)?(investor|company)_ids\)' \
+        src/repro/community \
+    || grep -rnE --include='*.py' -e 'setdefault\(.*set\(\)\)' \
+        src/repro/graph; then
+    echo "sorted adjacency kept outside src/repro/graph/csr.py" >&2
     exit 1
 fi
 
@@ -124,13 +141,15 @@ echo "== counted cost gates (pipeline hot paths) =="
 # before it, and no handle reads back the log records or leases it wrote
 # itself, held with the kernel's differentials (cached handles against
 # fresh replays and against the MANIFEST.json layout they replaced).
-# For the serve build: the follow index holds at most 17 bytes an edge
-# (every column's nbytes) and ServeDataset.build's tracemalloc peak stays
+# For the serve build: the follow index holds at most 10 (and 17) bytes
+# an edge (every array's nbytes), ServeDataset.build's tracemalloc peak stays
 # under a bound the two-dict fold failed, held with the index against
 # that fold (rows, counts, traversals and every shard split). For the
 # world: both follow graphs hold at most 16 bytes an edge forward and
 # inverse, and generating them makes one lookup and no np.unique, held
-# with the CSR graphs against the per-user list loop they replaced. And
+# with the CSR graphs against the per-user list loop they replaced. The
+# investment graph on CSR is held against the dict of sets it replaced
+# (CoDA F and H bit for bit, label propagation, SBM groups). And
 # the knob ratchets: PlatformConfig fields and SparkLiteContext parameters
 # (test_knob_ratchet) and the CLI's distinct options
 # (test_cli_option_ratchet) may not grow.
@@ -139,7 +158,8 @@ echo "== counted cost gates (pipeline hot paths) =="
 python -m pytest -q -p no:cacheprovider tests/test_cost_gates.py \
     tests/test_world_dynamics_differential.py tests/test_dfs_namespace_ops.py \
     tests/test_community_coda_differential.py tests/test_durable.py \
-    tests/test_serve_follow_index.py tests/test_world_follows_differential.py
+    tests/test_serve_follow_index.py tests/test_world_follows_differential.py \
+    tests/test_graph_bipartite_differential.py
 
 echo "== benchmark smoke (partition recovery) =="
 # small-scale A5 run: proves losing an executor recomputes strictly
