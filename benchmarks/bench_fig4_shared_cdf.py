@@ -9,7 +9,7 @@ strongest two average 2.1 and 1.6 shared co-investments, max 48; the
 
 import numpy as np
 
-from benchmarks.conftest import BENCH_SEED, paper_row
+from benchmarks.conftest import WORLD_SEED, paper_row
 from repro.viz.ascii import ascii_cdf
 
 

@@ -9,14 +9,14 @@ enrichment) on a tiny world; the population comparison is printed from
 the session's 1/16-scale crawl.
 """
 
-from benchmarks.conftest import BENCH_SEED, paper_row
+from benchmarks.conftest import WORLD_SEED, paper_row
 from repro.core.platform import ExploratoryPlatform
 from repro.world.config import WorldConfig
 from repro.world.generator import generate_world
 
 
 def test_sec3_full_crawl_pipeline(benchmark, bench_platform):
-    tiny = generate_world(WorldConfig.tiny(seed=BENCH_SEED))
+    tiny = generate_world(WorldConfig.tiny(seed=WORLD_SEED))
 
     def crawl_tiny():
         platform = ExploratoryPlatform(tiny)

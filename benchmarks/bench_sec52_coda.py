@@ -6,7 +6,7 @@ sqrt(world scale); asserted here is that CoDA produces a healthy cover
 of multi-member communities over the filtered graph.
 """
 
-from benchmarks.conftest import BENCH_SEED, paper_row
+from benchmarks.conftest import WORLD_SEED, paper_row
 
 
 def test_sec52_coda_detection(benchmark, bench_platform, bench_graph):
@@ -17,7 +17,7 @@ def test_sec52_coda_detection(benchmark, bench_platform, bench_graph):
 
     result = benchmark.pedantic(
         lambda: CoDA(num_communities=num_communities, max_iters=40,
-                     seed=BENCH_SEED).fit(filtered),
+                     seed=WORLD_SEED).fit(filtered),
         rounds=3, iterations=1)
 
     scale = bench_platform.world.config.scale

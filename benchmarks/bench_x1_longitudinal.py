@@ -6,7 +6,7 @@ panel analysis must recover them: pre-event engagement lift > 1 AND a
 positive post-event follower bump (the confound).
 """
 
-from benchmarks.conftest import BENCH_SEED, paper_row
+from benchmarks.conftest import WORLD_SEED, paper_row
 from repro.analysis.longitudinal import analyze_snapshots
 from repro.crawl.snapshots import SnapshotScheduler
 from repro.dfs.filesystem import MiniDfs
@@ -20,9 +20,9 @@ DAYS = 30
 
 def test_x1_longitudinal_panel(benchmark):
     def run_study():
-        world = generate_world(WorldConfig.tiny(seed=BENCH_SEED))
+        world = generate_world(WorldConfig.tiny(seed=WORLD_SEED))
         hub = SourceHub.from_world(world)
-        dynamics = WorldDynamics(world, seed=BENCH_SEED,
+        dynamics = WorldDynamics(world, seed=WORLD_SEED,
                                  base_close_hazard=0.02,
                                  engagement_to_funding_lift=4.0)
         dfs = MiniDfs()

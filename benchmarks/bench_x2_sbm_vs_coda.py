@@ -11,7 +11,7 @@ on the dense projection and is reported for reference.
 
 import numpy as np
 
-from benchmarks.conftest import BENCH_SEED, paper_row
+from benchmarks.conftest import WORLD_SEED, paper_row
 from repro.community.coda import CoDA
 from repro.community.labelprop import label_propagation
 from repro.community.random_baseline import random_communities
@@ -37,12 +37,12 @@ def test_x2_sbm_vs_coda(benchmark, bench_platform, bench_graph):
     num = world.config.num_communities
 
     coda_result = CoDA(num_communities=num, max_iters=40,
-                       seed=BENCH_SEED).fit(filtered)
+                       seed=WORLD_SEED).fit(filtered)
     sbm_result = benchmark.pedantic(
-        lambda: BipartiteSBM(num_groups=num, seed=BENCH_SEED).fit(filtered),
+        lambda: BipartiteSBM(num_groups=num, seed=WORLD_SEED).fit(filtered),
         rounds=3, iterations=1)
-    lp_result = label_propagation(filtered, seed=BENCH_SEED)
-    rng = RngStream(BENCH_SEED, "x2")
+    lp_result = label_propagation(filtered, seed=WORLD_SEED)
+    rng = RngStream(WORLD_SEED, "x2")
     random_cover = random_communities(
         filtered.investors,
         [len(m) for m in coda_result.investor_communities.values()], rng)

@@ -6,7 +6,7 @@ informative: held-out AUC must comfortably beat chance, and social
 metrics must rank among the top coefficients.
 """
 
-from benchmarks.conftest import BENCH_SEED, paper_row
+from benchmarks.conftest import WORLD_SEED, paper_row
 
 
 def test_x3_success_prediction(benchmark, bench_platform, bench_graph):
@@ -14,7 +14,7 @@ def test_x3_success_prediction(benchmark, bench_platform, bench_graph):
 
     result = benchmark.pedantic(
         lambda: predict_success(bench_platform.sc, bench_platform.dfs,
-                                bench_graph, seed=BENCH_SEED),
+                                bench_graph, seed=WORLD_SEED),
         rounds=3, iterations=1)
 
     print("\n§7 — success prediction (logistic regression)")

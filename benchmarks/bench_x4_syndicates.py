@@ -7,7 +7,7 @@ communities are far purer with respect to them than chance — detection
 recovers syndicate cores even though it never saw the labels.
 """
 
-from benchmarks.conftest import BENCH_SEED, paper_row
+from benchmarks.conftest import WORLD_SEED, paper_row
 from repro.analysis.syndicates import (read_disclosed_syndicates,
                                        validate_communities)
 from repro.community.coda import CoDA
@@ -16,7 +16,7 @@ from repro.community.coda import CoDA
 def test_x4_syndicate_validation(benchmark, bench_platform, bench_graph):
     filtered = bench_graph.filter_investors(4)
     coda = CoDA(num_communities=bench_platform.world.config.num_communities,
-                max_iters=40, seed=BENCH_SEED).fit(filtered)
+                max_iters=40, seed=WORLD_SEED).fit(filtered)
 
     def validate():
         syndicates = read_disclosed_syndicates(bench_platform.sc,

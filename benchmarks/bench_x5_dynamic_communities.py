@@ -6,7 +6,7 @@ carries day stamps, so the graph is replayed in cumulative windows and
 communities matched across windows by Jaccard similarity.
 """
 
-from benchmarks.conftest import BENCH_SEED, paper_row
+from benchmarks.conftest import WORLD_SEED, paper_row
 from repro.analysis.dynamic_communities import (default_coda_detector,
                                                 track_communities)
 
@@ -17,7 +17,7 @@ def test_x5_dynamic_communities(benchmark, bench_platform):
     world = bench_platform.world
     detector = default_coda_detector(
         num_communities=world.config.num_communities,
-        max_iters=15, seed=BENCH_SEED)
+        max_iters=15, seed=WORLD_SEED)
 
     report = benchmark.pedantic(
         lambda: track_communities(world.investments, WINDOWS, detector),

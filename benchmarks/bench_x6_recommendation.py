@@ -7,7 +7,7 @@ filtering must still retrieve hidden edges, and the gap narrows as
 herding concentrates portfolios.
 """
 
-from benchmarks.conftest import BENCH_SEED, paper_row
+from benchmarks.conftest import WORLD_SEED, paper_row
 from repro.analysis.recommend import evaluate_recommenders
 
 K = 25
@@ -17,7 +17,7 @@ def test_x6_investor_recommendation(benchmark, bench_graph):
     results = benchmark.pedantic(
         lambda: evaluate_recommenders(bench_graph, k=K,
                                       max_test_investors=150,
-                                      seed=BENCH_SEED),
+                                      seed=WORLD_SEED),
         rounds=3, iterations=1)
     by_method = {r.method: r for r in results}
 

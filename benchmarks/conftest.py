@@ -14,12 +14,12 @@ from repro.core.platform import ExploratoryPlatform
 from repro.world.config import WorldConfig
 from repro.world.generator import generate_world
 
-BENCH_SEED = 20160626
+WORLD_SEED = 20160626
 
 
 @pytest.fixture(scope="session")
 def bench_world():
-    return generate_world(WorldConfig.default(seed=BENCH_SEED))
+    return generate_world(WorldConfig.default(seed=WORLD_SEED))
 
 
 @pytest.fixture(scope="session")
@@ -42,15 +42,7 @@ def bench_study(bench_platform, bench_graph):
     return run_community_study(
         bench_graph,
         num_communities=bench_platform.world.config.num_communities,
-        global_pairs=100_000, seed=BENCH_SEED, coda_iters=40)
-
-
-@pytest.fixture(scope="session")
-def tiny_crawl_setup():
-    """A small world + servers for crawl-throughput benchmarks."""
-    from repro.sources.hub import SourceHub
-    world = generate_world(WorldConfig.tiny(seed=BENCH_SEED))
-    return world
+        global_pairs=100_000, seed=WORLD_SEED, coda_iters=40)
 
 
 def paper_row(name: str, paper: str, measured: str) -> str:

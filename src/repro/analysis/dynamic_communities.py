@@ -66,9 +66,6 @@ class DynamicsReport:
             tally[event.kind] = tally.get(event.kind, 0) + 1
         return tally
 
-    def events_in_window(self, window_index: int) -> List[LifecycleEvent]:
-        return [e for e in self.events if e.window_index == window_index]
-
 
 def default_coda_detector(num_communities: int, min_investments: int = 4,
                           max_iters: int = 25, seed: int = 0) -> Detector:

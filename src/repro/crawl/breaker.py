@@ -125,10 +125,6 @@ class CircuitBreaker:
 
     # ------------------------------------------------------------ inspection
     @property
-    def consecutive_failures(self) -> int:
-        return self._consecutive_failures
-
-    @property
     def current_cooldown_s(self) -> float:
         return self._cooldown_s
 

@@ -60,11 +60,6 @@ class CrawlResult:
     sim_duration: float
     resumed: bool = False
 
-    @property
-    def requests_per_sim_hour(self) -> float:
-        hours = self.sim_duration / 3600.0
-        return self.client_stats.requests / hours if hours > 0 else 0.0
-
 
 class _CrawlState:
     """Mutable crawl progress, serializable for checkpoints."""

@@ -102,10 +102,6 @@ class DataNode:
     def block_count(self) -> int:
         return len(self._blocks)
 
-    @property
-    def used_bytes(self) -> int:
-        return sum(len(b) for b in self._blocks.values())
-
 
 def _normalize(path: str) -> str:
     if not path.startswith("/"):

@@ -301,17 +301,3 @@ def read_part_batches(dfs: MiniDfs, path: str, batch_rows: int,
                 counters.fields_pruned += cells_cut
         batches = projected
     return batches
-
-
-def iter_json_batches(dfs: MiniDfs, directory: str,
-                      batch_rows: int = 4096) -> Iterator:
-    """Stream a dataset as record batches, partition order preserved."""
-    for path in list_partitions(dfs, directory):
-        for batch in read_part_batches(dfs, path, batch_rows):
-            yield batch
-
-
-def read_json_batches(dfs: MiniDfs, directory: str,
-                      batch_rows: int = 4096) -> List:
-    """Materialize a dataset as a list of record batches."""
-    return list(iter_json_batches(dfs, directory, batch_rows))

@@ -195,10 +195,6 @@ class RecordBatch:
     def column_tags(self) -> List[int]:
         return [_infer_tag(col)[0] for col in self.columns]
 
-    @property
-    def num_columns(self) -> int:
-        return len(self.columns)
-
     def __len__(self) -> int:
         return self.nrows
 

@@ -331,12 +331,6 @@ class SparkLiteContext:
         if self._stopped:
             raise EngineError("context has been stopped")
 
-    def _map_indices(self, count: int,
-                     fn: Callable[[int], List[Any]]) -> List[List[Any]]:
-        """Legacy shim: run an indexed driver closure on the backend."""
-        self._check_alive()
-        return self.backend.run_local(fn, count)
-
     def _run_job_partitions(self, rdd: RDD) -> List[List[Any]]:
         self._check_alive()
         self.jobs_run += 1

@@ -215,9 +215,6 @@ class DataFrame:
     def count(self) -> int:
         return self._rdd.count()
 
-    def to_pylist(self) -> List[Row]:
-        return self.collect()
-
     def column_values(self, column: str) -> List[Any]:
         return self._rdd.map(_ColumnOf(column)).collect()
 

@@ -143,18 +143,6 @@ class _MapValuesOp:
         return [(k, fn(v)) for k, v in part]
 
 
-class _FlatMapValuesOp:
-    __slots__ = ("fn",)
-    elementwise = True
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, part):
-        fn = self.fn
-        return [(k, u) for k, v in part for u in fn(v)]
-
-
 class _BatchedOp:
     """Run an elementwise partition op in ``batch_rows`` slices.
 
@@ -470,9 +458,6 @@ class RDD(Generic[T]):
 
     def map_values(self, fn: Callable[[V], U]) -> "RDD[Tuple[K, U]]":
         return self._narrow(_MapValuesOp(fn), "mapValues")
-
-    def flat_map_values(self, fn: Callable[[V], Iterable[U]]) -> "RDD":
-        return self._narrow(_FlatMapValuesOp(fn), "flatMapValues")
 
     def union(self, other: "RDD[T]") -> "RDD[T]":
         if other.context is not self.context:

@@ -69,10 +69,6 @@ class TwitterServer(SimServer):
                                   retry_after=retry_after)
         return None
 
-    @property
-    def profile_count(self) -> int:
-        return len(self._by_screen_name)
-
     def remaining(self, token: str) -> int:
         """Calls left in the token's current window (for schedulers)."""
         return self.limiter.remaining(token)

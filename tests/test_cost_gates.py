@@ -14,18 +14,25 @@ drawn one ``randrange`` at a time. And for the durable kernel: an
 that reads back a log record or a lease it wrote itself. And for the
 serve tier's build: a follow index that holds a Python object per edge.
 And for the world: follow graphs held as Python lists again, or built
-with a lookup and a de-duplication per user. And a ratchet on the
-engine's knobs: a new config field or context parameter is counted here.
+with a lookup and a de-duplication per user. And for the engine's
+exchange: a hash per row instead of per distinct key and chunk, or a
+whole exchange pickled to size it. And for landing an ingest day:
+data-file reads or log traffic that grow with the chain behind it. And a
+ratchet on the engine's knobs: a new config field or context parameter
+is counted here.
 """
 
 import argparse
 import dataclasses
 import inspect
 import json.encoder
+import operator
+import pickle
 import posixpath
 import random
 import sys
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -39,6 +46,7 @@ from repro.dfs.jsonlines import encode_record, iter_json_dataset
 from repro.dfs.upsert import UpsertDataset
 from repro.engine.context import SparkLiteContext
 from repro.engine.metrics import STAGE_SHUFFLE, STAGE_TASK
+from repro.engine.planner import DEFAULT_SAMPLE_ROWS
 from repro.graph.bipartite import BipartiteGraph
 from repro.metrics.shared import sampled_shared_sizes
 from repro.net.http import Route
@@ -450,6 +458,59 @@ def test_an_ingest_day_reads_no_log_record_or_lease():
         platform.close()
 
 
+def test_an_ingest_day_reads_at_most_twice_the_deltas_it_lands(
+        monkeypatch):
+    """64 fault-free days. After the first, a day reads at most two data
+    files per delta it landed (the derived pass and the key index may
+    each read a new delta once; the chain behind it never), and the
+    bytes the datasets' logs read and write stay within 64 of day 2's:
+    the digits of counts and sequence numbers, never a record per day of
+    history."""
+    world = generate_world(WorldConfig(scale=0.002, seed=7))
+    platform = ExploratoryPlatform(
+        world, config=PlatformConfig(engine_backend="serial"))
+    try:
+        scheduler = platform.ingest_pipeline()
+        dfs = scheduler.dfs
+        real_read, real_create = dfs.read, dfs.create
+        day = {}
+
+        def read(path):
+            data = real_read(path)
+            if "/_log/" in path:
+                day["log_read"] += len(data)
+            elif path.startswith("/ingest/") and posixpath.basename(
+                    path).startswith(("base-", "delta-")):
+                day["data_reads"] += 1
+            return data
+
+        def create(path, data):
+            if "/_log/" in path:
+                day["log_written"] += len(data)
+            return real_create(path, data)
+        monkeypatch.setattr(dfs, "read", read)
+        monkeypatch.setattr(dfs, "create", create)
+        rows, landed_before = [], 0
+        for n in range(1, 65):
+            day = {"day": n, "data_reads": 0, "log_read": 0,
+                   "log_written": 0}
+            scheduler.run_until_day(n)
+            landed = sum(ds.max_delta_seq()
+                         for ds in scheduler.dataset_map().values())
+            day["landed"] = landed - landed_before
+            rows.append(day)
+            landed_before = landed
+    finally:
+        platform.close()
+    assert all(row["landed"] > 0 for row in rows)
+    second = rows[1]
+    heavy = [row for row in rows[1:]
+             if row["data_reads"] > 2 * row["landed"]
+             or row["log_read"] > second["log_read"] + 64
+             or row["log_written"] > second["log_written"] + 64]
+    assert heavy == []
+
+
 def test_an_outbox_drain_reads_no_lease(monkeypatch):
     dfs = MiniDfs(num_datanodes=3)
     subscribers = {f"t{n}:default": Subscriber(f"t{n}:default",
@@ -535,6 +596,51 @@ def test_generating_follows_looks_up_and_dedupes_once(fresh_world,
     assert len(fresh_world.users) > 1000
     # one lookup of every user's draws together; de-duplication is a sort
     assert calls == {"unique": 0, "searchsorted": 1}
+
+
+# ------------------------------------------------------ the engine exchange
+def _skewed_pair(x):
+    """(key, 1) with 75 % of rows on 8 hot keys and the rest on 24 cold
+    residues: at most 32 distinct keys."""
+    return (x % 8, 1) if x % 4 else (8 + x % 24, 1)
+
+
+def _rows_in(obj):
+    """Rows inside a (possibly nested) list handed to ``pickle.dumps``."""
+    if isinstance(obj, list):
+        return sum(_rows_in(item) for item in obj)
+    return 1
+
+
+def test_an_exchange_hashes_per_key_and_chunk_and_sizes_by_sample(
+        monkeypatch):
+    """60,000 rows through an uncombined serial exchange of 8 map chunks
+    x 8 buckets: at most one CRC32 per distinct key per chunk (32 x 8),
+    and at most the planner's stride sample of each piece pickled to size
+    it (8 x 64). Uncombined, so every row reaches the exchange and a
+    whole-exchange pickle would show as 60,000 rows. On the serial
+    backend nothing else calls either."""
+    counts = {"hashes": 0, "pickled_rows": 0}
+    real_crc32, real_dumps = zlib.crc32, pickle.dumps
+
+    def crc32(*args):
+        counts["hashes"] += 1
+        return real_crc32(*args)
+
+    def dumps(obj, *args, **kwargs):
+        counts["pickled_rows"] += _rows_in(obj)
+        return real_dumps(obj, *args, **kwargs)
+    with SparkLiteContext(parallelism=4, backend="serial",
+                          shuffle_combine=False) as sc:
+        rdd = (sc.parallelize(range(60_000), 8).map(_skewed_pair)
+               .reduce_by_key(operator.add))
+        monkeypatch.setattr(zlib, "crc32", crc32)
+        monkeypatch.setattr(pickle, "dumps", dumps)
+        rdd.collect()
+        monkeypatch.undo()
+        assert sc.last_job_metrics.shuffle_records_moved == 60_000
+    assert counts["hashes"] <= 32 * 8
+    assert counts["pickled_rows"] <= DEFAULT_SAMPLE_ROWS * 8 * 8
 
 
 # --------------------------------------------------------- the knob ratchet

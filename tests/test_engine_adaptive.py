@@ -249,17 +249,19 @@ def test_adaptive_with_retries_and_speculation(oracle, scenario):
 
 
 def test_adaptive_moves_fewer_bytes_on_skewed_join(oracle):
-    """The headline contract: identical bytes out, fewer bytes moved."""
+    """The headline contract: identical bytes out, fewer bytes moved —
+    on every backend, since a pooled worker must see the same stats."""
     fn = SCENARIOS["join"]
     with SparkLiteContext(parallelism=3, backend="serial") as naive:
         expected = fn(naive)
         naive_bytes = naive.last_job_metrics.shuffle_bytes
-    with SparkLiteContext(parallelism=3, backend="serial",
-                          **ADAPTIVE_KW) as sc:
-        assert repr(fn(sc)) == repr(expected)
-        metrics = sc.last_job_metrics
-    assert metrics.broadcast_joins == 1
-    assert metrics.shuffle_bytes == 0 < naive_bytes
+    for backend in ALL_BACKENDS:
+        with SparkLiteContext(parallelism=3, backend=backend,
+                              **ADAPTIVE_KW) as sc:
+            assert repr(fn(sc)) == repr(expected), backend
+            metrics = sc.last_job_metrics
+        assert metrics.broadcast_joins == 1, backend
+        assert metrics.shuffle_bytes == 0 < naive_bytes, backend
 
 
 def test_adaptive_scan_reads_fewer_bytes(oracle):

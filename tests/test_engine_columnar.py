@@ -5,10 +5,15 @@ The differential batteries (``test_engine_backends``,
 job results; these tests pin the primitives — pack/unpack round-trips
 over every physical column type, slicing/concat, the tagged spill
 codec, and the shared-memory block lifecycle (create → attach →
-unlink, including cleanup when a job dies mid-flight).
+unlink, including cleanup when a job dies mid-flight), and on a host
+with four or more cores, the speed the columnar process backend exists
+for.
 """
 
+import operator
+import os
 import pickle
+import time
 import zlib
 
 import pytest
@@ -398,3 +403,30 @@ class TestBatchScans:
                        .flat_map(to_rows).collect())
             plain = sc.json_dataset(dfs, "/scan2").collect()
         assert batched == plain
+
+
+# ------------------------------------------------------------ parallel speed
+def _skewed_pair(x):
+    return (x % 8, 1) if x % 4 else (8 + x % 24, 1)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 4,
+                    reason="speedup gate needs >= 4 cores")
+def test_columnar_process_beats_serial_rows_2x_on_four_cores():
+    """60,000 rows of a skewed reduce_by_key, best of two warm runs."""
+    def best_s(backend, columnar):
+        with SparkLiteContext(parallelism=4, backend=backend,
+                              engine_columnar=columnar,
+                              batch_rows=4096) as sc:
+            def job():
+                return (sc.parallelize(range(60_000), 8).map(_skewed_pair)
+                        .reduce_by_key(operator.add).collect())
+            job()  # warm-up: pools spin up lazily
+            times = []
+            for _ in range(2):
+                start = time.perf_counter()
+                job()
+                times.append(time.perf_counter() - start)
+        return min(times)
+    speedup = best_s("serial", False) / best_s("process", True)
+    assert speedup >= 2.0, f"columnar process speedup {speedup:.2f}x < 2x"

@@ -15,6 +15,7 @@ import zlib
 import pytest
 
 from repro.engine import shuffle
+from repro.engine.backends import BACKENDS
 from repro.engine.context import SparkLiteContext
 from repro.engine.planner import DEFAULT_SAMPLE_ROWS
 from repro.engine.rdd import (JobRunner, _DistinctOp, _ReduceByKeyOp,
@@ -407,13 +408,16 @@ class TestSampledShuffleBytes:
 
 class TestShuffleMetrics:
     def test_records_pre_and_post_combine(self):
-        with SparkLiteContext(parallelism=2, backend="serial") as sc:
-            (sc.parallelize([(k % 3, 1) for k in range(90)], 3)
-             .reduce_by_key(operator.add).collect())
-            metrics = sc.last_job_metrics
-        assert metrics.shuffle_records == 90          # raw, pre-combine
-        assert metrics.shuffle_records_moved == 9     # 3 keys × 3 map tasks
-        assert metrics.shuffle_bytes > 0
+        # every backend: the combiner must reach pooled workers too
+        for backend in sorted(BACKENDS):
+            with SparkLiteContext(parallelism=2, backend=backend) as sc:
+                (sc.parallelize([(k % 3, 1) for k in range(90)], 3)
+                 .reduce_by_key(operator.add).collect())
+                metrics = sc.last_job_metrics
+            assert metrics.shuffle_records == 90, backend  # pre-combine
+            # 3 keys × 3 map tasks
+            assert metrics.shuffle_records_moved == 9, backend
+            assert metrics.shuffle_bytes > 0, backend
 
     def test_uncombined_moves_everything(self):
         with SparkLiteContext(parallelism=2, backend="serial",

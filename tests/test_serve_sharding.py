@@ -19,6 +19,7 @@ from repro.serve.sharding import (ShardConfig, ShardedQueryService,
                                   shard_index_from_json, shard_index_json,
                                   shard_of, slow_replica_target,
                                   split_dataset)
+from repro.serve.tenancy import Tenant
 from repro.world.config import WorldConfig
 from repro.world.generator import generate_world
 
@@ -375,6 +376,70 @@ class TestShardedReplay:
             assert cov["shards_total"] == len(cov["per_shard"])
             assert cov["partial"] == (answered < cov["shards_total"])
         assert seen_coverage > 0
+
+
+#: tenant isolation: t0 offers 10x its weighted share, t1/t2 offer 0.8x
+TENANT_QPS_LIMIT = 40.0
+TENANT_WEIGHTS = {"t0": 2.0, "t1": 1.0, "t2": 1.0}
+ABUSE_FACTOR = 10.0
+TENANT_DURATION_S = 3.0
+#: every tenant's goodput floor, as a fraction of its entitlement
+FAIR_SHARE_FLOOR = 0.90
+
+
+@pytest.fixture(scope="module")
+def tenant_platform():
+    """A crawled tiny platform with one slow datanode (it is mutated, so
+    not the shared session platform)."""
+    platform = ExploratoryPlatform.over_new_world(WorldConfig.tiny())
+    platform.run_full_crawl()
+    platform.serve_dataset()
+    for index, node_id in enumerate(sorted(platform.dfs.datanodes)):
+        platform.dfs.set_datanode_latency(node_id,
+                                          0.05 if index == 0 else 0.004)
+    yield platform
+    platform.close()
+
+
+def _tenant_schedule(dataset):
+    """Three open-loop streams, each seeded on its own and merged by
+    arrival: the abusive tenant's volume cannot perturb the compliant
+    tenants' draws."""
+    total_weight = sum(TENANT_WEIGHTS.values())
+    merged = []
+    for i, (tenant_id, weight) in enumerate(sorted(TENANT_WEIGHTS.items())):
+        share_qps = TENANT_QPS_LIMIT * weight / total_weight
+        offered_qps = share_qps * (ABUSE_FACTOR if tenant_id == "t0"
+                                   else 0.8)
+        profile = LoadProfile(qps=offered_qps, duration_s=TENANT_DURATION_S,
+                              seed=142 + i)
+        for request in generate_schedule(profile, dataset):
+            request.tenant = tenant_id
+            merged.append(request)
+    merged.sort(key=lambda r: (r.arrival_s, r.tenant))
+    return merged
+
+
+class TestTenantFairShare:
+    def test_abusive_tenant_is_clipped_and_no_tenant_starves(
+            self, tenant_platform):
+        tenants = [Tenant(t, w) for t, w in sorted(TENANT_WEIGHTS.items())]
+        service = tenant_platform.sharded_query_service(
+            config=ServeConfig(qps_limit=TENANT_QPS_LIMIT, queue_depth=16,
+                               workers=4, burst=TENANT_QPS_LIMIT * 0.5),
+            shard_config=ShardConfig(num_shards=NUM_SHARDS, replicas=2),
+            tenants=tenants)
+        report = replay(service, _tenant_schedule(
+            tenant_platform.serve_dataset()))
+        total_weight = sum(TENANT_WEIGHTS.values())
+        for tenant_id, weight in sorted(TENANT_WEIGHTS.items()):
+            row = report.per_tenant[tenant_id]
+            share_qps = TENANT_QPS_LIMIT * weight / total_weight
+            entitled = min(row["offered"], share_qps * TENANT_DURATION_S)
+            assert row["answered"] >= FAIR_SHARE_FLOOR * entitled, \
+                (tenant_id, row)
+        assert report.per_tenant["t0"]["shed_rate"] > 0, \
+            "the abusive tenant was never rate-clipped"
 
 
 class TestTenantLoadgen:

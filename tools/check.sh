@@ -110,114 +110,70 @@ if grep -nF -e 'getattr(self.context' -e 'getattr(context' \
 fi
 
 echo "== pytest (tier 1) =="
-python -m pytest -x -q "$@"
+# the whole suite, with the modules that hold a gate named on the command
+# line: a renamed or deleted module then fails here ("file or directory
+# not found"), and pytest still collects each file once.
+#
+# Counted cost gates, with the identities they lean on: investor_activity
+# streams follow edges through its filter (no scan stage, no cache
+# spill), a request is matched only against templates of its own shape,
+# encode_record builds no encoder per record; an ingest day draws per
+# raising company and walks neither the world per closed round, the file
+# table per listdir nor the frontier per claimed slice (held with
+# WorldDynamics.step against the sequential loop and the DFS namespace
+# index against a scan of the file table); a CoDA sweep's Python calls do
+# not grow with the graph and the Figure 4 sample calls no randrange (held
+# with the array CoDA against the row loop it replaced); an apply writes
+# one small log record whatever came before it and no durable handle
+# reads back what it wrote (held with the kernel's differentials); the
+# serve follow index holds at most 10 (and 17) bytes an edge and its
+# build peaks under a bound the two-dict fold failed (held with the index
+# against that fold); the world's follow graphs hold at most 16 bytes an
+# edge and are built with one lookup and no np.unique (held with the CSR
+# graphs against the per-user list loop, and the investment graph on CSR
+# against the dict of sets); an exchange hashes once per distinct key and
+# chunk and pickles only the stride sample to size itself (<= 256 hashes,
+# <= 512 rows on 60,000); an ingest day reads at most twice the deltas it
+# lands, with log traffic flat over 64 days; and the knob ratchets
+# (PlatformConfig fields, SparkLiteContext parameters, CLI options).
+#
+# Contracts: results invariant across backends (test_engine_backends), the token pool
+# (test_crawl_tokens), CoDA's likelihood in its sweep budget
+# (test_community_coda), map-side combine (test_engine_shuffle),
+# partition recovery and checkpoint restore (test_engine_recovery), the
+# 10x overload contract (test_serve_overload), the columnar engine's
+# identity, shm accounting, segment hygiene and its >= 2x speedup on 4+
+# cores (test_engine_columnar), kill-anywhere ingest resume and bounded
+# recompute (test_ingest_scheduler), adaptive planning (test_engine_adaptive,
+# test_engine_planner), shard loss, coverage and tenant isolation
+# (test_serve_sharding, test_serve_tenancy), and standing queries under
+# alert chaos and a 100x delivery flood (test_serve_alert_chaos,
+# test_serve_outbox)
+gate_modules=(
+    tests/test_cost_gates.py
+    tests/test_world_dynamics_differential.py tests/test_dfs_namespace_ops.py
+    tests/test_community_coda_differential.py tests/test_durable.py
+    tests/test_serve_follow_index.py tests/test_world_follows_differential.py
+    tests/test_graph_bipartite_differential.py
+    tests/test_engine_backends.py tests/test_crawl_tokens.py
+    tests/test_community_coda.py tests/test_engine_shuffle.py
+    tests/test_engine_recovery.py tests/test_serve_overload.py
+    tests/test_engine_columnar.py tests/test_ingest_scheduler.py
+    tests/test_engine_adaptive.py tests/test_engine_planner.py
+    tests/test_serve_sharding.py tests/test_serve_tenancy.py
+    tests/test_serve_alert_chaos.py tests/test_serve_outbox.py
+)
+python -m pytest -x -q "$@" tests "${gate_modules[@]}"
 
 echo "== pytest (chaos suite) =="
 # the deterministic fault-injection harness, on its default seed matrix
 with_timeout python -m pytest -x -q -m chaos
 
-echo "== benchmark smoke (engine fast path) =="
-# small-scale A4 run: proves the combine reduction holds, gates what the
-# exchange costs by count (<= one hash per distinct key per map chunk,
-# sizing pickles only the stride sample of each piece; serial arm, full
-# 60k rows) and leaves the BENCH_engine.json perf-trajectory artifact
-python benchmarks/bench_a4_shuffle_combine.py \
-    --smoke --json benchmarks/out/BENCH_engine.json
-
-echo "== counted cost gates (pipeline hot paths) =="
-# the same kind of gate as A4's shuffle_cost and A8's
-# landing_reads_per_day, for the pipeline: investor_activity streams
-# follow edges through its filter (no scan stage, no cache spill), a
-# request is matched only against templates of its own shape, and
-# encode_record builds no encoder per record; and for the ingest day:
-# draws per raising company, no walk of the world per closed round, of
-# the file table per listdir or of the frontier per claimed slice. With
-# them the identities those gates lean on — WorldDynamics.step against
-# the sequential loop, the DFS namespace index against a scan of the
-# file table. For the community study: a CoDA sweep's Python calls do
-# not grow with the graph and the Figure 4 sample calls no randrange,
-# held with the array CoDA against the row loop it replaced. For the
-# durable kernel: an apply writes one small log record whatever came
-# before it, and no handle reads back the log records or leases it wrote
-# itself, held with the kernel's differentials (cached handles against
-# fresh replays and against the MANIFEST.json layout they replaced).
-# For the serve build: the follow index holds at most 10 (and 17) bytes
-# an edge (every array's nbytes), ServeDataset.build's tracemalloc peak stays
-# under a bound the two-dict fold failed, held with the index against
-# that fold (rows, counts, traversals and every shard split). For the
-# world: both follow graphs hold at most 16 bytes an edge forward and
-# inverse, and generating them makes one lookup and no np.unique, held
-# with the CSR graphs against the per-user list loop they replaced. The
-# investment graph on CSR is held against the dict of sets it replaced
-# (CoDA F and H bit for bit, label propagation, SBM groups). And
-# the knob ratchets: PlatformConfig fields and SparkLiteContext parameters
-# (test_knob_ratchet) and the CLI's distinct options
-# (test_cli_option_ratchet) may not grow.
-# Part of tier 1 above; run by name so a renamed or deselected module
-# fails the gate
-python -m pytest -q -p no:cacheprovider tests/test_cost_gates.py \
-    tests/test_world_dynamics_differential.py tests/test_dfs_namespace_ops.py \
-    tests/test_community_coda_differential.py tests/test_durable.py \
-    tests/test_serve_follow_index.py tests/test_world_follows_differential.py \
-    tests/test_graph_bipartite_differential.py
-
-echo "== benchmark smoke (partition recovery) =="
-# small-scale A5 run: proves losing an executor recomputes strictly
-# fewer partitions than a full stage rerun, on every backend
-with_timeout python benchmarks/bench_a5_recovery.py \
-    --smoke --json benchmarks/out/BENCH_recovery.json
-
-echo "== benchmark smoke (serving overload) =="
-# A6: 10x overload with a forced mid-run brownout and chaos faults —
-# queue stays bounded, per-class p99 under deadline, >= 99% of admitted
-# answered, same-seed reruns byte-identical
-with_timeout python benchmarks/bench_a6_serving.py \
-    --smoke --json benchmarks/out/BENCH_serving.json
-
-echo "== benchmark smoke (columnar core) =="
-# A7: row vs columnar engine on reduce/join/sort — byte-identical
-# output, shm exchange accounting, zero leaked segments; the >= 2x
-# process-vs-serial gate arms itself only on 4+-core hosts
-with_timeout python benchmarks/bench_a7_columnar.py \
-    --smoke --json benchmarks/out/BENCH_columnar.json
-
-echo "== benchmark smoke (ingest kill-anywhere resume) =="
-# A8: SIGKILL the continuous-ingest scheduler at every ledger state,
-# resume from the write-ahead ledger — eventual datasets byte-identical
-# to an uninterrupted run, zero duplicate lands, all leases reclaimed,
-# incremental recompute bounded (each source record scanned once),
-# landing cost flat in chain length (landing_reads_per_day: data-file
-# reads and dataset-log bytes read/written per day over 64 days)
-with_timeout python benchmarks/bench_a8_ingest.py \
-    --smoke --json benchmarks/out/BENCH_ingest.json
-
-echo "== benchmark smoke (adaptive planner) =="
-# A9: adaptive planning vs the naive plans — the skewed join must move
-# >= 2x fewer shuffled bytes on all three backends, skew split /
-# coalesce / scan pushdown must fire, every arm byte-identical
-with_timeout python benchmarks/bench_a9_planner.py \
-    --smoke --json benchmarks/out/BENCH_planner.json
-
-echo "== benchmark smoke (sharded serving) =="
-# A10: serve_shard_chaos kills one shard of four mid-run — >= 99% of
-# admitted queries still answer inside their deadline, every partial
-# result's coverage accounting is exact vs the unsharded oracle, an
-# abusive tenant at 10x its fair share starves nobody, and the whole
-# run (autoscaler decisions included) is byte-identical on a same-seed
-# rerun
-with_timeout python benchmarks/bench_a10_sharding.py \
-    --smoke --json benchmarks/out/BENCH_sharding.json
-
-echo "== benchmark smoke (standing-query alerting) =="
-# A11: alert-chaos (kill_subscriber / drop_ack / dup_deliver plus a
-# forced mid-run ingest kill) — every matched event delivered
-# at-least-once with zero observable duplicates after dedupe vs the
-# offline full-rescan oracle, 100x subscriber load leaves interactive
-# p99 inside its deadline with zero cross-tenant starvation, poison
-# subscribers quarantine without stalling the outbox, and same-seed
-# reruns (delivery log included) are byte-identical
-with_timeout python benchmarks/bench_a11_alerting.py \
-    --smoke --json benchmarks/out/BENCH_alerting.json
+echo "== paper results (section 3, 5.1, 5.2, Figures 3-8, X1-X6) =="
+# the 15 benches that hold the paper's numbers on the 1/16-scale world
+# of benchmarks/conftest.py, every assertion on and the timers off
+with_timeout python -m pytest -q -p no:cacheprovider --benchmark-disable \
+    benchmarks/bench_fig*.py benchmarks/bench_sec*.py benchmarks/bench_x*.py
 
 echo "== e2e benchmark harness (smoke) =="
 # the repo benchmark (BENCHMARK.json) at --smoke sizes, about a minute:
@@ -226,27 +182,3 @@ echo "== e2e benchmark harness (smoke) =="
 # here, before the benchmark driver ever runs
 with_timeout python -m pytest -q -p no:cacheprovider \
     benchmarks/e2e/test_bench_e2e.py
-
-echo "== verify benchmark artifacts =="
-# a bench that silently wrote nothing must fail the gate here, not
-# vanish from the merged summary
-expected_artifacts=(
-    BENCH_engine.json BENCH_recovery.json BENCH_serving.json
-    BENCH_columnar.json BENCH_ingest.json BENCH_planner.json
-    BENCH_sharding.json BENCH_alerting.json
-)
-missing=0
-for artifact in "${expected_artifacts[@]}"; do
-    if [ ! -s "benchmarks/out/$artifact" ]; then
-        echo "MISSING benchmark artifact: benchmarks/out/$artifact" >&2
-        missing=1
-    fi
-done
-if [ "$missing" -ne 0 ]; then
-    echo "refusing to merge an incomplete artifact set" >&2
-    exit 1
-fi
-
-echo "== merge benchmark artifacts =="
-# fold every BENCH_*.json into the single BENCH_summary.json artifact
-python tools/merge_bench.py --out benchmarks/out/BENCH_summary.json
