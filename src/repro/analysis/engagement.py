@@ -98,13 +98,14 @@ def compute_engagement_table(sc: SparkLiteContext, dfs,
                              twitter_dir: str = "/crawl/twitter/profiles",
                              ) -> EngagementTable:
     """Build the Figure 6 table from the crawled datasets."""
+    # read once, so not cached: the persisted startups scan under it is
+    # what later jobs share
     startups = (sc.json_dataset(dfs, f"{angellist_root}/startups")
                 .map(lambda s: (int(s["id"]), {
                     "fb": bool(s.get("facebook_url")),
                     "tw": bool(s.get("twitter_url")),
                     "video": bool(s.get("video_url")),
-                }))
-                .cache())
+                })))
 
     raised_ids = set(
         sc.json_dataset(dfs, crunchbase_dir)

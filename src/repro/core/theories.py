@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from repro.engine.dataframe import DataFrame
 from repro.metrics.significance import (Chi2Result, chi_square_2x2,
@@ -225,4 +224,5 @@ def _welch_t_p(x: np.ndarray, y: np.ndarray) -> float:
         return 1.0
     statistic = (x.mean() - y.mean()) / math.sqrt(se2)
     dof = se2 ** 2 / ((vx / nx) ** 2 / (nx - 1) + (vy / ny) ** 2 / (ny - 1))
+    from scipy.stats import t as student_t
     return float(2.0 * student_t.sf(abs(statistic), df=dof))

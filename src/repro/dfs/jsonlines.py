@@ -5,9 +5,9 @@ datasets partition-by-partition so each part file becomes one RDD
 partition (exactly how Spark maps HDFS splits to partitions).
 
 This module also owns the record codec every landed dataset shares —
-:func:`encode_record`, :func:`decode_line`, :func:`decode_lines` — so
-the on-disk format has exactly one definition (``tools/check.sh`` greps
-for strays).
+:func:`encode_record`, :func:`decode_line`, :func:`decode_lines` and
+:func:`decode_part` (the engine's scan of one part) — so the on-disk
+format has exactly one definition (``tools/check.sh`` greps for strays).
 """
 
 from __future__ import annotations
@@ -91,6 +91,24 @@ def decode_line(line: str) -> Any:
 def decode_lines(text: str) -> List[Any]:
     """Every non-empty line of ``text`` decoded, in order."""
     return [decode_line(line) for line in text.splitlines() if line]
+
+
+def decode_part(text: str) -> List[Any]:
+    """:func:`decode_lines`, with the dict records sharing one string
+    object per distinct top-level key.
+
+    The C scanner memoises keys within one line only, so each decoded
+    dict holds its own copy of every key: a part the engine caches
+    would hold its records' keys once per record. Equal records, same
+    key order; about a quarter of a microsecond more per record.
+    """
+    records = decode_lines(text)
+    shared = {}.setdefault
+    for index, record in enumerate(records):
+        if isinstance(record, dict):
+            records[index] = dict(zip(map(shared, record, record),
+                                      record.values()))
+    return records
 
 
 def _part_path(directory: str, index: int) -> str:

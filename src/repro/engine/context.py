@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.dfs.jsonlines import decode_lines
+from repro.dfs.jsonlines import decode_part
 from repro.engine.backends import (ExecutionBackend, SupervisePolicy,
                                    resolve_backend)
 from repro.engine.cache import CacheManager
@@ -237,7 +237,7 @@ class SparkLiteContext:
             return rdd
 
         def compute(runner: JobRunner, index: int) -> List[Any]:
-            return decode_lines(dfs.read_text(paths[index]))
+            return decode_part(dfs.read_text(paths[index]))
         rdd = RDD(self, len(paths), (), compute, name=f"json:{directory}")
         # lets the job runner fuse adjacent filter/map ops into the
         # read itself (repro.dfs.jsonlines.read_part_pushdown)
@@ -317,7 +317,7 @@ class SparkLiteContext:
             return rdd
 
         def compute(runner: JobRunner, index: int) -> List[Any]:
-            return decode_lines(dfs.read_text(paths[index]))
+            return decode_part(dfs.read_text(paths[index]))
         rdd = RDD(self, len(paths), (), compute, name=f"jsonf:{name}")
         rdd.scan_info = {"dfs": dfs, "paths": tuple(paths), "kind": "rows"}
         self._datasets[key] = rdd

@@ -17,6 +17,9 @@ from repro.util.rng import RngStream
 
 Portfolio = Mapping[int, Set[int]]  # investor id → set of company ids
 
+#: pairs probed together by :func:`sampled_shared_sizes`
+_PAIR_CHUNK = 65_536
+
 
 def shared_investment_size(portfolio_a: Set[int],
                            portfolio_b: Set[int]) -> int:
@@ -51,7 +54,9 @@ def sampled_shared_sizes(investors: Sequence[int], portfolios: Portfolio,
     pairs across the whole bipartite graph. Each end of the pairs is one
     vector draw, ``j`` skipping ``i`` so nobody pairs with themselves;
     each overlap is counted by probing the smaller portfolio's companies
-    against the sorted ``(investor, company)`` keys of all portfolios.
+    against the sorted ``(investor, company)`` keys of all portfolios,
+    :data:`_PAIR_CHUNK` pairs at a time so the probe temporaries stay a
+    few MB whatever ``num_pairs`` is.
     """
     n = len(investors)
     if n < 2:
@@ -72,14 +77,22 @@ def sampled_shared_sizes(investors: Sequence[int], portfolios: Portfolio,
 
     small = np.where(degree[i] <= degree[j], i, j)
     other = i + j - small
-    counts = degree[small]
-    pair = np.repeat(np.arange(num_pairs), counts)
-    offset = np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts,
-                                              counts)
-    probes = other[pair] * len(dense) + companies[start[small][pair] + offset]
-    found = np.searchsorted(keys, probes)
-    hit = keys[np.minimum(found, len(keys) - 1)] == probes
-    return np.bincount(pair[hit], minlength=num_pairs).tolist()
+    del i, j
+    shared = np.zeros(num_pairs, dtype=np.int64)
+    for lo in range(0, num_pairs, _PAIR_CHUNK):
+        chunk_small = small[lo:lo + _PAIR_CHUNK]
+        counts = degree[chunk_small]
+        pair = np.repeat(np.arange(len(chunk_small)), counts)
+        # the position inside ``companies`` of each probed company
+        held_at = np.arange(len(pair)) + np.repeat(
+            start[chunk_small] - (np.cumsum(counts) - counts), counts)
+        probes = (other[lo:lo + _PAIR_CHUNK][pair] * len(dense)
+                  + companies[held_at])
+        found = np.searchsorted(keys, probes)
+        hit = keys[np.minimum(found, len(keys) - 1)] == probes
+        shared[lo:lo + len(chunk_small)] = np.bincount(
+            pair[hit], minlength=len(chunk_small))
+    return shared.tolist()
 
 
 def shared_investor_percentage(members: Sequence[int],

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.stats import chi2
 
 from repro.util.rng import RngStream
 
@@ -58,6 +57,7 @@ def chi_square_2x2(a: int, b: int, c: int, d: int,
     statistic = sum(
         (max(0.0, abs(o - e) - correction)) ** 2 / e
         for o, e in zip(observed, expected))
+    from scipy.stats import chi2
     return Chi2Result(statistic=float(statistic),
                       p_value=float(chi2.sf(statistic, df=1)))
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.community.labelprop import label_propagation
 from repro.dfs.filesystem import HedgedRead, MiniDfs
-from repro.dfs.jsonlines import decode_line, decode_lines
+from repro.dfs.jsonlines import decode_line
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.csr import CSR, position
 from repro.util.errors import ConfigError, StorageError
@@ -117,6 +117,9 @@ FOLLOW_TYPES = ("startup", "user")
 _TYPE_CODE = {name: code for code, name in enumerate(FOLLOW_TYPES)}
 #: follow target ids live in ``int32`` columns: ``0 <= dst_id < 2**31``
 _ID_LIMIT = 2 ** 31
+#: one follow record as :func:`_follow_part` decodes it
+_FOLLOW_ROW = np.dtype([("src", np.int64), ("code", np.uint8),
+                        ("dst", np.int64)])
 #: the graph of an index with no rows (immutable, so shared)
 _NO_ROWS = CSR([0], [], _ID_LIMIT)
 
@@ -156,7 +159,7 @@ class FollowIndex:
     def from_edges(cls, src, dst_is_user, dst_ids,
                    count_keys=None, counts=None) -> "FollowIndex":
         """Index the edges ``src → (dst_is_user, dst_ids)`` (parallel
-        ``int64`` columns, any order; a repeated edge is kept once). Their
+        integer columns, any order; a repeated edge is kept once). Their
         follower counts are the edges' own unless ``count_keys``/``counts``
         (any order) are given."""
         is_user = np.asarray(dst_is_user, dtype=bool)
@@ -198,18 +201,21 @@ class FollowIndex:
         """Index a landed ``follow_edges`` dataset, counting its records
         per part into ``part_records``.
 
-        Each part is decoded once into three columns; no per-edge Python
-        object outlives its part. A record whose ``dst_type`` is neither
-        ``startup`` nor ``user``, or whose ``dst_id`` is not in
-        ``[0, 2**31)``, raises :class:`StorageError` naming the part and
-        the line.
+        Each part is decoded once into three columns (``int32`` ids);
+        no per-edge Python object outlives its part, and the part columns
+        go before the index is built. A record whose ``dst_type`` is
+        neither ``startup`` nor ``user``, or whose ``src_user`` or
+        ``dst_id`` is not in ``[0, 2**31)``, raises :class:`StorageError`
+        naming the part and the line.
         """
         columns = []
         for path in _parts_of(dfs, directory):
             part = _follow_part(path, dfs.read(path).decode("utf-8"))
             part_records[path] = len(part[0])
             columns.append(part)
-        return cls.from_edges(*map(np.concatenate, zip(*columns)))
+        src, dst_is_user, dst_ids = map(np.concatenate, zip(*columns))
+        del columns
+        return cls.from_edges(src, dst_is_user, dst_ids)
 
     @classmethod
     def from_doc(cls, doc: Dict[str, Dict]) -> "FollowIndex":
@@ -316,21 +322,25 @@ class FollowIndex:
 
 def _follow_part(path: str, text: str,
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(src, dst_is_user, dst_ids)`` columns of one follow part; its
-    decoded records die with the call."""
-    records = decode_lines(text)
-    n = len(records)
-    codes = np.fromiter((_TYPE_CODE.get(r["dst_type"], 255)
-                         for r in records), np.uint8, n)
-    dst_ids = np.fromiter((r["dst_id"] for r in records), np.int64, n)
-    bad = np.flatnonzero((codes == 255) | (dst_ids < 0)
-                         | (dst_ids >= _ID_LIMIT))
+    """``(src, dst_is_user, dst_ids)`` columns of one follow part, the
+    ids ``int32``; each decoded record dies with its row."""
+    rows = np.fromiter(
+        ((r["src_user"], _TYPE_CODE.get(r["dst_type"], 255), r["dst_id"])
+         for r in map(decode_line, filter(None, text.splitlines()))),
+        _FOLLOW_ROW)
+    src, codes, dst_ids = rows["src"], rows["code"], rows["dst"]
+    bad = np.flatnonzero((codes == 255) | (src < 0) | (src >= _ID_LIMIT)
+                         | (dst_ids < 0) | (dst_ids >= _ID_LIMIT))
     if len(bad):
-        index = int(bad[0])
-        _target(records[index]["dst_type"], records[index]["dst_id"],
-                f"{path} line {_line_number(text, index)}: ")
-    return (np.fromiter((r["src_user"] for r in records), np.int64, n),
-            codes, dst_ids)
+        number = _line_number(text, int(bad[0]))
+        record = decode_line(text.splitlines()[number - 1])
+        where = f"{path} line {number}: "
+        if not 0 <= record["src_user"] < _ID_LIMIT:
+            raise StorageError(f"{where}follow record src_user "
+                               f"{record['src_user']} is not in [0, 2**31)")
+        _target(record["dst_type"], record["dst_id"], where)
+    # copies: a field view would keep the whole row array alive
+    return src.astype(np.int32), codes.copy(), dst_ids.astype(np.int32)
 
 
 def _target(dst_type: str, dst_id: int, where: str = "") -> Tuple[int, int]:
@@ -349,7 +359,8 @@ def _target(dst_type: str, dst_id: int, where: str = "") -> Tuple[int, int]:
 
 def _line_number(text: str, index: int) -> int:
     """1-based line of ``text`` holding its ``index``-th non-empty line
-    (the position :func:`decode_lines` gave that record)."""
+    (the position :func:`~repro.dfs.jsonlines.decode_lines` gives that
+    record)."""
     numbers = [n for n, line in enumerate(text.splitlines(), 1) if line]
     return numbers[index]
 

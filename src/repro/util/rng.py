@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -35,6 +36,19 @@ def jittered_backoff(base_s: float, step: int, jitter: float, seed: int,
         delay *= 1.0 + jitter * ((derive_seed(seed, label) % 100_000)
                                  / 100_000)
     return delay
+
+
+@lru_cache(maxsize=64)
+def _zipf_cdf(alpha: float, max_value: int) -> np.ndarray:
+    """The CDF ``Generator.choice`` builds from the normalised weights
+    ``rank ** -alpha`` of ranks ``1..max_value``; read-only, as every
+    caller with the same ``(alpha, max_value)`` shares it."""
+    weights = np.arange(1, max_value + 1, dtype=np.float64) ** (-alpha)
+    weights /= weights.sum()
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
 
 
 class RngStream:
@@ -96,10 +110,10 @@ class RngStream:
         """
         if max_value < 1:
             raise ValueError("max_value must be >= 1")
-        ranks = np.arange(1, max_value + 1, dtype=np.float64)
-        weights = ranks ** (-alpha)
-        weights /= weights.sum()
-        drawn = self.np.choice(max_value, size=size, p=weights) + 1
+        # Generator.choice(max_value, size, p=...)'s own algorithm, on a
+        # table built once per (alpha, max_value) instead of per draw
+        drawn = _zipf_cdf(alpha, max_value).searchsorted(
+            self.np.random(size), side="right") + 1
         if size is None:
             return int(drawn)
         return drawn.astype(np.int64)

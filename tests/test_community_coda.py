@@ -6,8 +6,9 @@ clean co-investment blocks plus noise — CoDA must separate them.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from repro.community.coda import CoDA
+from repro.community.coda import CoDA, _log_likelihood
 from repro.graph.bipartite import BipartiteGraph
 from repro.util.rng import RngStream
 
@@ -51,10 +52,25 @@ class TestPlantedRecovery:
 
     def test_likelihood_is_finite_and_improves(self):
         graph, _truth = _two_block_graph()
+        start = _initial_log_likelihood(graph, seed=1)
         short = CoDA(num_communities=2, max_iters=2, seed=1).fit(graph)
         long = CoDA(num_communities=2, max_iters=40, seed=1).fit(graph)
         assert np.isfinite(short.log_likelihood)
+        assert start < short.log_likelihood
         assert long.log_likelihood >= short.log_likelihood - 1e-6
+        # the fit climbs from -275 to -159 here; a step rule that keeps
+        # worse steps ends far below where it started
+        assert long.log_likelihood >= start + 0.3 * abs(start)
+
+
+def _initial_log_likelihood(graph: BipartiteGraph, seed: int) -> float:
+    """The model's log-likelihood at ``CoDA.fit``'s starting point."""
+    model = CoDA(num_communities=2, seed=seed)
+    F, H = model._initialize(graph, RngStream(seed, "coda"))
+    out_edges = sparse.csr_matrix(
+        (np.ones(graph.num_edges), graph.out.indices, graph.out.indptr),
+        shape=(len(graph.investors), len(graph.companies)))
+    return _log_likelihood(F, H, out_edges)
 
 
 class TestMechanics:

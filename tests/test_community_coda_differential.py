@@ -19,8 +19,9 @@ communities and iteration counts still agreed in all 600.)
 ``sampled_shared_sizes`` draws its pairs with two vector draws and
 counts overlaps with a sorted-key probe; the sampling cases pin the
 contract the per-pair loop had (no self-pairs, unknown investors count
-as empty portfolios, any hashable company id, same seed same sizes) and
-check that the drawn pairs are uniform.
+as empty portfolios, any hashable company id, same seed same sizes),
+check that the drawn pairs are uniform, and count the drawn pairs'
+overlaps with a set intersection across several probe chunks.
 """
 
 import numpy as np
@@ -30,6 +31,7 @@ from scipy import stats
 from repro.community import coda
 from repro.community.coda import CoDA, CodaResult
 from repro.graph.bipartite import BipartiteGraph
+from repro.metrics import shared
 from repro.metrics.shared import sampled_shared_sizes
 from repro.util.rng import RngStream
 from tests.test_community_coda import _two_block_graph
@@ -267,3 +269,21 @@ def test_pairs_are_uniform(seed):
     observed = np.bincount(sizes, minlength=len(pairs))
     assert len(observed) == len(pairs)
     assert stats.chisquare(observed).pvalue > 0.001
+
+
+def test_sizes_are_the_drawn_pairs_intersections_across_probe_chunks():
+    # the pairs are probed in chunks; this draws two full ones and a
+    # partial third, and counts each pair's overlap as the loop did
+    stream = RngStream(2, "portfolios")
+    investors = list(range(300))
+    portfolios = {u: set(stream.np.integers(0, 500, size=u % 12).tolist())
+                  for u in investors}
+    num_pairs = 2 * shared._PAIR_CHUNK + 1_234
+    sizes = sampled_shared_sizes(investors, portfolios, num_pairs,
+                                 RngStream(6))
+    draws = RngStream(6).np       # the same two vector draws
+    i = draws.integers(0, len(investors), size=num_pairs)
+    j = draws.integers(0, len(investors) - 1, size=num_pairs)
+    j += j >= i
+    assert sizes == [len(portfolios[investors[a]] & portfolios[investors[b]])
+                     for a, b in zip(i.tolist(), j.tolist())]

@@ -19,7 +19,12 @@ exchange: a hash per row instead of per distinct key and chunk, or a
 whole exchange pickled to size it. And for landing an ingest day:
 data-file reads or log traffic that grow with the chain behind it. And a
 ratchet on the engine's knobs: a new config field or context parameter
-is counted here.
+is counted here. And for the memory the pipeline holds without using it:
+``scipy.stats`` loaded by an import, cached scan records that each keep
+their own copy of every key, the Figure 4 sample probing all its pairs
+at once, a private cache left behind by the engagement table, and a
+follow-index build that keeps its per-part columns next to their
+concatenation.
 """
 
 import argparse
@@ -27,12 +32,15 @@ import dataclasses
 import inspect
 import json.encoder
 import operator
+import os
 import pickle
 import posixpath
 import random
+import subprocess
 import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +50,8 @@ from repro.community.coda import CoDA
 from repro.core.platform import ExploratoryPlatform, PlatformConfig
 from repro.dfs import jsonlines
 from repro.dfs.filesystem import MiniDfs
-from repro.dfs.jsonlines import encode_record, iter_json_dataset
+from repro.dfs.jsonlines import (encode_record, iter_json_dataset,
+                                 write_json_dataset)
 from repro.dfs.upsert import UpsertDataset
 from repro.engine.context import SparkLiteContext
 from repro.engine.metrics import STAGE_SHUFFLE, STAGE_TASK
@@ -551,7 +560,7 @@ def test_the_follow_index_holds_at_most_10_bytes_an_edge(crawled_platform):
     assert index.nbytes <= 10 * index.num_edges
 
 
-def test_building_the_serve_dataset_peaks_under_5_5_mb(crawled_platform):
+def test_building_the_serve_dataset_peaks_under_2_6_mb(crawled_platform):
     ServeDataset.build(crawled_platform.dfs)    # imports, first-use caches
     tracemalloc.start()
     try:
@@ -560,9 +569,12 @@ def test_building_the_serve_dataset_peaks_under_5_5_mb(crawled_platform):
     finally:
         tracemalloc.stop()
     # the two follow dicts peaked at 7.4 MB on this world: a tuple per
-    # edge and per followed target, held past the build. The index peaks
-    # at 4.4 MB, one follow part's decoded records at a time
-    assert peak < 5_500_000
+    # edge and per followed target, held past the build. Decoding a whole
+    # follow part into dicts and keeping int64 part columns beside their
+    # concatenation peaked at 4.4 MB; int64 columns alone at 2.9 MB, and
+    # the part columns kept alone at 2.7 MB. A record at a time into
+    # int32 columns that go before the index is built peaks at 2.4 MB
+    assert peak < 2_600_000
 
 
 # ---------------------------------------------------------------- the world
@@ -641,6 +653,71 @@ def test_an_exchange_hashes_per_key_and_chunk_and_sizes_by_sample(
         assert sc.last_job_metrics.shuffle_records_moved == 60_000
     assert counts["hashes"] <= 32 * 8
     assert counts["pickled_rows"] <= DEFAULT_SAMPLE_ROWS * 8 * 8
+
+
+# ------------------------------------------- memory held without being used
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # scipy.stats costs ~50 MB of resident memory to import; the p-value
+    # helpers that need it import it when they are called
+    code = ("import importlib, pkgutil, sys, repro\n"
+            "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    if not module.name.endswith('__main__'):\n"
+            "        importlib.import_module(module.name)\n"
+            "print('scipy.stats' in sys.modules, 'scipy.sparse' in sys.modules)")
+    src = str(Path(sys.modules["repro"].__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    # scipy.sparse stays eager: CoDA's sweeps need it inside a timed run
+    assert done.stdout.split() == ["False", "True"]
+
+
+def test_the_global_pair_sample_peaks_under_a_third_of_the_one_shot_probe():
+    stream = RngStream(3, "portfolios")
+    investors = list(range(2_000))
+    portfolios = {i: set(stream.np.integers(0, 4_000, size=1 + i % 8)
+                         .tolist()) for i in investors}
+    sampled_shared_sizes(investors, portfolios, 1_000, RngStream(7))
+    tracemalloc.start()
+    try:
+        sizes = sampled_shared_sizes(investors, portfolios, 800_000,
+                                     RngStream(7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) == 800_000
+    # probing every pair's companies in one go peaked at 154.9 MB on this
+    # input; in 65,536-pair chunks the draws and the result dominate
+    assert peak < 154_900_000 / 3
+
+
+def test_a_persisted_json_scan_shares_its_key_strings():
+    dfs = MiniDfs(num_datanodes=3)
+    write_json_dataset(dfs, "/keys", [
+        {"id": i, "name": f"n{i}", "tags": [i % 3], "score": i / 7}
+        for i in range(1_000)], partitions=2)
+    with SparkLiteContext(parallelism=2, backend="serial") as sc:
+        records = sc.json_dataset(dfs, "/keys").persist().collect()
+    assert len(records) == 1_000
+    # one string object per key and part, where a dict per line held its
+    # own copy of each of its four keys
+    assert len({id(key) for record in records for key in record}) == 2 * 4
+
+
+def test_the_engagement_table_leaves_no_cache_entry_of_its_own(
+        crawled_platform):
+    platform = crawled_platform
+    cache = platform.sc.cache_manager
+    shared = [platform.sc.json_dataset(platform.dfs, directory).rdd_id
+              for directory in platform.PERSISTED_DATASET_DIRS]
+
+    def own_entries():
+        return cache.stats()["entries"] - sum(rid in cache for rid in shared)
+    before = own_entries()
+    platform.run_plugin("engagement_table")
+    # the persisted crawl datasets it reads may fill; nothing else may
+    assert own_entries() == before
 
 
 # --------------------------------------------------------- the knob ratchet

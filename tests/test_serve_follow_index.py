@@ -226,6 +226,22 @@ class TestBadFollowType:
         assert f"{FOLLOW_EDGES}/part-00007.jsonl line 2" in message
         assert f"dst_id {dst_id} " in message
 
+    # the follower's id is held in an int32 column too
+    @pytest.mark.parametrize("src_user", [-1, 2 ** 31])
+    def test_bad_follower_id_names_the_part_and_line(self, small_crawl,
+                                                     src_user):
+        with JsonLinesWriter(small_crawl, FOLLOW_EDGES,
+                             start_part_index=7) as writer:
+            writer.write_all([
+                {"src_user": 1000, "dst_type": "user", "dst_id": 1001},
+                {"src_user": 1001, "dst_type": "startup", "dst_id": 100},
+                {"src_user": src_user, "dst_type": "user", "dst_id": 1000}])
+        with pytest.raises(StorageError) as err:
+            ServeDataset.build(small_crawl)
+        message = str(err.value)
+        assert f"{FOLLOW_EDGES}/part-00007.jsonl line 3" in message
+        assert f"src_user {src_user} " in message
+
     def test_the_largest_id_fits(self):
         index = FollowIndex.from_rows({1: [("user", 2 ** 31 - 1)]})
         assert index.targets(1) == ([2 ** 31 - 1], [])

@@ -8,13 +8,22 @@ request-path chaos faults, the query tier must:
 * keep the p99 latency of admitted requests under each class's deadline;
 * answer >= 99% of finally-admitted requests (fresh or flagged stale);
 * produce byte-identical ServeMetrics on a same-seed rerun.
+
+And on the way there: the queue bound holds even when the rate bucket
+admits faster than the workers drain, and a request whose budget cannot
+cover the backend read — or a latency spike on it — gets a degraded
+answer inside its deadline instead of a late fresh one.
 """
+
+from collections import Counter
 
 import pytest
 
-from repro.net.faults import FAULT_BROWNOUT, FaultSchedule
+from repro.net.faults import FAULT_BROWNOUT, FAULT_SLOW, FaultSchedule
 from repro.serve.loadgen import LoadProfile, generate_schedule, run_bench
-from repro.serve.service import ServeConfig
+from repro.serve.metrics import (STATUS_SHED_QUEUE, STATUS_SHED_RATE,
+                                 STATUS_SUMMARY)
+from repro.serve.service import ServeConfig, ServeRequest
 
 QPS_LIMIT = 20.0
 QUEUE_DEPTH = 8
@@ -97,6 +106,54 @@ class TestOverloadContract:
         assert first_service.metrics.to_json() == \
             second_service.metrics.to_json()
         assert first.to_json() == second.to_json()
+
+
+class TestQueueBound:
+    def test_the_bound_holds_when_the_bucket_outpaces_the_workers(
+            self, serve_platform):
+        # a bucket ten times the offered rate lets every arrival in, and
+        # one worker drains far slower than 200 arrivals a second: only
+        # the queue's own bound keeps it at its depth
+        service = serve_platform.query_service(config=ServeConfig(
+            qps_limit=QPS_LIMIT * OVERLOAD * 10, queue_depth=QUEUE_DEPTH,
+            workers=1))
+        report = run_bench(service, serve_platform.serve_dataset(),
+                           _profile())
+        statuses = Counter(result.status for result in report.results)
+        assert statuses[STATUS_SHED_RATE] == 0
+        assert statuses[STATUS_SHED_QUEUE] > 0
+        assert report.max_queue_len == QUEUE_DEPTH
+
+
+class TestDeadlinePropagation:
+    @staticmethod
+    def _company(service, platform, deadline_s=None):
+        key = platform.serve_dataset().keys_for("company")[0]
+        return service.handle(ServeRequest(kind="company", key=key,
+                                           deadline_s=deadline_s))
+
+    def test_the_gate_refuses_a_read_the_budget_cannot_cover(
+            self, serve_platform):
+        service = serve_platform.query_service(
+            config=ServeConfig(), faults=FaultSchedule.none())
+        # 5 ms: a summary fits, the read (2 ms base + the datanode's
+        # 4 ms or more) plus the 3 ms margin does not
+        result = self._company(service, serve_platform, deadline_s=0.005)
+        assert result.status == STATUS_SUMMARY
+        assert result.latency_s <= 0.005
+
+    def test_a_latency_spike_past_the_deadline_is_abandoned(
+            self, serve_platform):
+        faults = FaultSchedule.none()
+        faults.force_window(FAULT_SLOW, start=0, span=1, duration=0.3)
+        service = serve_platform.query_service(config=ServeConfig(),
+                                               faults=faults)
+        # the gate lets the read start (the 250 ms budget covers it), then
+        # the 300 ms spike on it would end past the deadline
+        result = self._company(service, serve_platform)
+        assert result.status == STATUS_SUMMARY
+        assert result.latency_s <= ServeConfig().default_deadline_s
+        assert service.metrics.counters("interactive").backend_faults == 1
 
 
 class TestLoadGenerator:

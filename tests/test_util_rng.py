@@ -72,6 +72,28 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(1).zipf_bounded(2.0, 0)
 
+    # the draw once spelled Generator.choice(p=...) with the weight table
+    # rebuilt per call; the cached table must draw the same values and
+    # leave the generator where choice left it
+    @pytest.mark.parametrize("alpha, max_value, size", [
+        (2.0, 50, 2000), (1.1, 5000, None), (0.8, 1, None), (1.5, 1, 7),
+        (1.2, 3000, (3, 4)), (2, 10, None), (1.07, 100_000, 0)])
+    def test_zipf_bounded_draws_as_generator_choice(self, alpha, max_value,
+                                                    size):
+        cached, chosen = RngStream(9), RngStream(9)
+        weights = np.arange(1, max_value + 1, dtype=np.float64) ** -alpha
+        weights /= weights.sum()
+        for _ in range(3):
+            got = cached.zipf_bounded(alpha, max_value, size=size)
+            want = chosen.np.choice(max_value, size=size, p=weights) + 1
+            if size is None:
+                assert type(got) is int and got == int(want)
+            else:
+                assert got.dtype == np.int64 and got.shape == want.shape
+                assert np.array_equal(got, want)
+        assert (cached.np.bit_generator.state
+                == chosen.np.bit_generator.state)
+
 
 class TestJitteredBackoff:
     """One helper behind the client's retry sleeps and the outbox's

@@ -24,13 +24,25 @@ python -m compileall -q src benchmarks tools examples
 
 echo "== one record codec =="
 # repro.dfs.jsonlines owns the JSON-lines codec (encode_record /
-# decode_line / decode_lines); a second spelling of it anywhere else is
-# a second format waiting to drift. world/io.py is exempt: it dumps one
-# gzip'd world document with insertion-ordered keys, not landed records.
+# decode_line / decode_lines / decode_part); a second spelling of it
+# anywhere else is a second format waiting to drift. world/io.py is
+# exempt: it dumps one gzip'd world document with insertion-ordered
+# keys, not landed records.
 if grep -rnF --include='*.py' -e 'separators=(",", ":")' -e 'json.loads(line' \
         src/repro | grep -v -e '^src/repro/dfs/jsonlines\.py:' \
                             -e '^src/repro/world/io\.py:'; then
     echo "per-record JSON codec outside src/repro/dfs/jsonlines.py" >&2
+    exit 1
+fi
+
+echo "== scipy.stats on first use =="
+# importing scipy.stats adds ~50 MB to every process's resident set, and
+# only two p-value helpers need it: they import it when called (as
+# norm and gaussian_kde are), never at module level
+if grep -rnE --include='*.py' \
+        -e '^(from scipy\.stats import|import scipy\.stats)' \
+        -e '^from scipy import .*\bstats\b' src/repro; then
+    echo "module-level scipy.stats import under src/repro" >&2
     exit 1
 fi
 
@@ -134,8 +146,12 @@ echo "== pytest (tier 1) =="
 # against the dict of sets); an exchange hashes once per distinct key and
 # chunk and pickles only the stride sample to size itself (<= 256 hashes,
 # <= 512 rows on 60,000); an ingest day reads at most twice the deltas it
-# lands, with log traffic flat over 64 days; and the knob ratchets
-# (PlatformConfig fields, SparkLiteContext parameters, CLI options).
+# lands, with log traffic flat over 64 days; nothing held without being
+# used (scipy.stats unloaded by an import, one key string per scanned
+# part, the Figure 4 sample probed in chunks, no private cache left by
+# the engagement table, a follow-index build under 2.6 MB on the tiny
+# world); and the knob ratchets (PlatformConfig fields, SparkLiteContext
+# parameters, CLI options).
 #
 # Contracts: results invariant across backends (test_engine_backends), the token pool
 # (test_crawl_tokens), CoDA's likelihood in its sweep budget
