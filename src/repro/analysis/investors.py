@@ -8,8 +8,10 @@ investments."
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable, List, Tuple
 
 from repro.engine.context import SparkLiteContext
 from repro.graph.bipartite import BipartiteGraph
@@ -49,12 +51,15 @@ def compute_investor_activity(sc: SparkLiteContext, dfs,
         .filter(lambda u: "investor" in u.get("roles", []))
         .map(lambda u: int(u["id"]))
         .collect())
+    # the read keeps one id per passing edge, and each partition ships
+    # one (investor, count) pair per investor it saw
     follow_counts: Dict[int, int] = (
         sc.json_dataset(dfs, f"{angellist_root}/follow_edges")
         .filter(lambda e: e["dst_type"] == "startup"
                 and int(e["src_user"]) in investor_ids)
-        .map(lambda e: (int(e["src_user"]), 1))
-        .reduce_by_key(lambda a, b: a + b)
+        .map(lambda e: int(e["src_user"]))
+        .map_partitions(_counted)
+        .reduce_by_key(operator.add)
         .collect_as_map())
     mean_follows = (sum(follow_counts.values()) / len(investor_ids)
                     if investor_ids else 0.0)
@@ -66,3 +71,8 @@ def compute_investor_activity(sc: SparkLiteContext, dfs,
         max_investments=int(cdf.max),
         mean_follows_per_investor=mean_follows,
     )
+
+
+def _counted(ids: Iterable[int]) -> List[Tuple[int, int]]:
+    """``(id, occurrences)`` for each distinct id of one partition."""
+    return list(Counter(ids).items())

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.community.seeds import select_seed_companies
 from repro.graph.bipartite import BipartiteGraph
@@ -102,10 +101,7 @@ class CoDA:
         investor_ids, company_ids = graph.investors, graph.companies
         n_inv, n_com = len(investor_ids), len(company_ids)
 
-        out_edges = sparse.csr_matrix(    # investor → company
-            (np.ones(graph.num_edges), graph.out.indices, graph.out.indptr),
-            shape=(n_inv, n_com))
-        in_edges = out_edges.T.tocsr()    # company → investor
+        out_edges, in_edges = graph.out, graph.out.inverse()
 
         F, H = self._initialize(graph, rng)
 
@@ -193,19 +189,32 @@ def _edge_dots(rows: np.ndarray, owners: np.ndarray,
     return np.maximum(_EPS, np.einsum("ec,ec->e", rows[owners], nbr_vecs))
 
 
-def _half_sweep(rows: np.ndarray, other: np.ndarray,
-                edges: sparse.csr_matrix, step: float = 0.3,
-                backtracks: int = 5) -> np.ndarray:
+def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``out[i] = values[indptr[i]:indptr[i + 1]].sum(axis=0)``, 0 for an
+    empty row: the product of a CSR 0/1 matrix with per-edge rows."""
+    out = np.zeros((len(indptr) - 1,) + values.shape[1:])
+    filled = indptr[:-1] < indptr[1:]
+    if filled.any():
+        # empty rows are skipped, so each start's segment ends exactly
+        # where the next filled row begins
+        out[filled] = np.add.reduceat(values, indptr[:-1][filled], axis=0)
+    return out
+
+
+def _half_sweep(rows: np.ndarray, other: np.ndarray, edges,
+                step: float = 0.3, backtracks: int = 5) -> np.ndarray:
     """One projected-gradient step with backtracking for every row at once.
 
-    Row ``i``'s neighbors are ``edges``' row ``i``; its objective is its
+    Row ``i``'s neighbors are ``edges.indices[edges.indptr[i]:
+    edges.indptr[i + 1]]`` (a CSR adjacency); its objective is its
     edges' log-likelihood minus ``x · (ΣO − Σ_neighbors O)``. A row takes
     the first of the halving step scales that improves its own objective
     and keeps its value if none does; a row with no neighbors becomes 0.
     """
-    owners = np.repeat(np.arange(len(rows)), np.diff(edges.indptr))
+    indptr = np.asarray(edges.indptr)
+    owners = np.repeat(np.arange(len(rows)), np.diff(indptr))
     nbr_vecs = other[edges.indices]                 # (E, C), one per edge
-    rest = other.sum(axis=0) - edges @ other        # non-neighbor sums
+    rest = other.sum(axis=0) - _row_sums(indptr, nbr_vecs)
 
     def objective(candidate: np.ndarray) -> np.ndarray:
         dots = _edge_dots(candidate, owners, nbr_vecs)
@@ -215,11 +224,10 @@ def _half_sweep(rows: np.ndarray, other: np.ndarray,
 
     dots = _edge_dots(rows, owners, nbr_vecs)
     weights = np.exp(-dots) / np.maximum(_EPS, 1.0 - np.exp(-dots))
-    grad = sparse.csr_matrix((weights, edges.indices, edges.indptr),
-                             shape=edges.shape) @ other - rest
+    grad = _row_sums(indptr, weights[:, None] * nbr_vecs) - rest
 
     current = objective(rows)
-    pending = np.diff(edges.indptr) > 0
+    pending = np.diff(indptr) > 0
     updated = np.where(pending[:, None], rows, 0.0)
     scale = step
     for _ in range(backtracks):
@@ -231,9 +239,9 @@ def _half_sweep(rows: np.ndarray, other: np.ndarray,
     return updated
 
 
-def _log_likelihood(F: np.ndarray, H: np.ndarray,
-                    out_edges: sparse.csr_matrix) -> float:
-    """Full model log-likelihood using the non-edge cache trick."""
+def _log_likelihood(F: np.ndarray, H: np.ndarray, out_edges) -> float:
+    """Full model log-likelihood using the non-edge cache trick
+    (``out_edges``: the investor → company CSR adjacency)."""
     owners = np.repeat(np.arange(len(F)), np.diff(out_edges.indptr))
     dots = _edge_dots(F, owners, H[out_edges.indices])
     return float(np.log1p(-np.exp(-dots) + _EPS).sum()

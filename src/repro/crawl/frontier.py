@@ -30,8 +30,16 @@ from typing import Dict, List, Optional, Set
 
 from repro.crawl.client import ApiClient, ClientStats
 from repro.dfs.filesystem import MiniDfs
-from repro.dfs.jsonlines import JsonLinesWriter
+from repro.dfs.jsonlines import JsonLinesWriter, LineTemplate
 from repro.util.errors import CrawlError
+
+
+#: the edge records, ``int`` fields in key order: ``(dst_id, src_user)``
+#: for a follow and ``(company_id, investor_id)`` for an investment
+_FOLLOWS_STARTUP = LineTemplate({"dst_type": "startup"},
+                                ("dst_id", "src_user"))
+_FOLLOWS_USER = LineTemplate({"dst_type": "user"}, ("dst_id", "src_user"))
+_INVESTED = LineTemplate({}, ("company_id", "investor_id"))
 
 
 @dataclass
@@ -237,8 +245,11 @@ class BfsCrawler:
         next_startups: List[int] = []
 
         seen_startups, seen_users = state.seen_startups, state.seen_users
-        write_follow = writers["follow_edges"].write
-        write_investment = writers["investments"].write
+        write_follows = writers["follow_edges"].write_lines
+        write_investments = writers["investments"].write_lines
+        follows_startup = _FOLLOWS_STARTUP.format
+        follows_user = _FOLLOWS_USER.format
+        invested = _INVESTED.format
 
         for sid in state.frontier_startups:
             if not self._budget_left(state):
@@ -258,32 +269,31 @@ class BfsCrawler:
                 break
             writers["users"].write(client.get(f"/1/users/{uid}"))
             state.user_records += 1
+            # a page's edges are written as one batch of template lines
             for items in client.pages(f"/1/users/{uid}/following",
                                       {"type": "startup"}):
-                for item in items:
-                    cid = int(item["id"])
-                    write_follow({"src_user": uid, "dst_type": "startup",
-                                  "dst_id": cid})
+                cids = [int(item["id"]) for item in items]
+                write_follows([follows_startup % (cid, uid)
+                               for cid in cids])
+                for cid in cids:
                     if cid not in seen_startups:
                         seen_startups.add(cid)
                         next_startups.append(cid)
                 state.follow_edges += len(items)
             for items in client.pages(f"/1/users/{uid}/following",
                                       {"type": "user"}):
-                for item in items:
-                    fid = int(item["id"])
-                    write_follow({"src_user": uid, "dst_type": "user",
-                                  "dst_id": fid})
+                fids = [int(item["id"]) for item in items]
+                write_follows([follows_user % (fid, uid) for fid in fids])
+                for fid in fids:
                     if fid not in seen_users:
                         seen_users.add(fid)
                         next_users.append(fid)
                 state.follow_edges += len(items)
             for items in client.pages(f"/1/users/{uid}/investments",
                                       items_key="investments"):
-                for item in items:
-                    cid = int(item["startup_id"])
-                    write_investment({"investor_id": uid,
-                                      "company_id": cid})
+                cids = [int(item["startup_id"]) for item in items]
+                write_investments([invested % (cid, uid) for cid in cids])
+                for cid in cids:
                     if cid not in seen_startups:
                         seen_startups.add(cid)
                         next_startups.append(cid)

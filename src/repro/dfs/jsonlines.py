@@ -5,9 +5,10 @@ datasets partition-by-partition so each part file becomes one RDD
 partition (exactly how Spark maps HDFS splits to partitions).
 
 This module also owns the record codec every landed dataset shares —
-:func:`encode_record`, :func:`decode_line`, :func:`decode_lines` and
-:func:`decode_part` (the engine's scan of one part) — so the on-disk
-format has exactly one definition (``tools/check.sh`` greps for strays).
+:func:`encode_record` (and :class:`LineTemplate`, its fixed-shape
+form), :func:`decode_line`, :func:`decode_lines` and :func:`decode_part`
+(the engine's scan of one part) — so the on-disk format has exactly one
+definition (``tools/check.sh`` greps for strays).
 """
 
 from __future__ import annotations
@@ -63,6 +64,47 @@ def encode_record(record: Any) -> str:
         # marked; retire it (a thread mid-encode keeps its own)
         _c_encode = _new_c_encoder()
         raise
+
+
+class LineTemplate:
+    """The line of a fixed-shape record whose only varying fields hold
+    integers: :func:`encode_record`'s output with each ``int`` field left
+    as ``%d``.
+
+    ``LineTemplate({"dst_type": "user"}, ("dst_id", "src_user"))`` spells
+    ``{"dst_id":%d,"dst_type":"user","src_user":%d}``; the constant
+    fields are encoded once, by :func:`encode_record`. ``int_fields``
+    must be listed in the line's (sorted) key order, which is the order
+    their values go in: ``template.format % (dst_id, src_user)`` is
+    ``encode_record(record)`` byte for byte when every ``int`` field
+    holds an ``int`` (not a ``bool``).
+    """
+
+    __slots__ = ("fields", "format")
+
+    def __init__(self, constants: Dict[str, Any],
+                 int_fields: Sequence[str]):
+        self.fields = tuple(int_fields)
+        keys = sorted((*constants, *self.fields))
+        if len(set(keys)) != len(keys):
+            raise ValueError("a field is both constant and int")
+        if [key for key in keys if key in self.fields] != list(self.fields):
+            raise ValueError(f"int_fields must be in key order: "
+                             f"{sorted(self.fields)}")
+        self.format = "{%s}" % ",".join(
+            _escaped(key) + ":" + ("%d" if key in self.fields
+                                   else _escaped(constants[key]))
+            for key in keys)
+
+    def line(self, *values: int) -> str:
+        """One record's line, its ``int`` fields' values in
+        :attr:`fields` order."""
+        return self.format % values
+
+
+def _escaped(value: Any) -> str:
+    """``encode_record(value)`` with each ``%`` doubled for a format."""
+    return encode_record(value).replace("%", "%%")
 
 
 # the C scanner ``json.loads`` itself ends up in, minus the Python
@@ -152,6 +194,21 @@ class JsonLinesWriter:
         self.records_written += 1
         if len(self._buffer) >= self._records_per_part:
             self._flush()
+
+    def write_lines(self, lines: Sequence[str]) -> None:
+        """Append records already encoded as lines (each exactly what
+        :func:`encode_record` gives, e.g. from a :class:`LineTemplate`),
+        flushing parts at the same record counts :meth:`write` would."""
+        if self._closed:
+            raise StorageError("writer is closed")
+        at = 0
+        while at < len(lines):
+            chunk = lines[at:at + self._records_per_part - len(self._buffer)]
+            self._buffer.extend(chunk)
+            self.records_written += len(chunk)
+            at += len(chunk)
+            if len(self._buffer) >= self._records_per_part:
+                self._flush()
 
     def write_all(self, records: Iterable[Dict]) -> None:
         for record in records:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -13,11 +13,17 @@ class EmpiricalCDF:
     ``F_n(x)`` = fraction of sample points ≤ x, evaluated in O(log n).
     """
 
-    def __init__(self, values: Sequence[float]):
-        arr = np.asarray(list(values), dtype=np.float64)
+    def __init__(self, values: Iterable[float]):
+        # one float64 copy, sorted in place: a list, tuple or array
+        # converts without an intermediate list
+        if isinstance(values, (list, tuple, np.ndarray)):
+            arr = np.array(values, dtype=np.float64)
+        else:
+            arr = np.fromiter(values, dtype=np.float64)
         if arr.size == 0:
             raise ValueError("EmpiricalCDF needs at least one value")
-        self._sorted = np.sort(arr)
+        arr.sort()
+        self._sorted = arr
 
     @property
     def n(self) -> int:

@@ -22,8 +22,10 @@ builds over the same crawl are identical.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Set, Tuple)
@@ -120,6 +122,11 @@ _ID_LIMIT = 2 ** 31
 #: one follow record as :func:`_follow_part` decodes it
 _FOLLOW_ROW = np.dtype([("src", np.int64), ("code", np.uint8),
                         ("dst", np.int64)])
+#: which ``int32`` half of an ``int64`` holds its low 32 bits
+_LOW_WORD = 0 if sys.byteorder == "little" else 1
+#: an edge key's target-type bit, and the mask of its target id
+_USER_BIT = 1 << 31
+_ID_MASK = _USER_BIT - 1
 #: the graph of an index with no rows (immutable, so shared)
 _NO_ROWS = CSR([0], [], _ID_LIMIT)
 
@@ -156,28 +163,52 @@ class FollowIndex:
 
     # -------------------------------------------------------- constructors
     @classmethod
-    def from_edges(cls, src, dst_is_user, dst_ids,
-                   count_keys=None, counts=None) -> "FollowIndex":
-        """Index the edges ``src → (dst_is_user, dst_ids)`` (parallel
-        integer columns, any order; a repeated edge is kept once). Their
-        follower counts are the edges' own unless ``count_keys``/``counts``
-        (any order) are given."""
-        is_user = np.asarray(dst_is_user, dtype=bool)
-        users, rows = np.unique(src, return_inverse=True)
-        startups, followed = (
-            CSR.from_keys(rows[side] * _ID_LIMIT + dst_ids[side],
-                          len(users), _ID_LIMIT)
-            for side in (~is_user, is_user))
+    def _from_keys(cls, keys: np.ndarray, count_keys=None,
+                   counts=None) -> "FollowIndex":
+        """Index the edges ``keys`` (:func:`_edge_key`; ``int64``, any
+        order; sorted in place, a repeated edge kept once). Their follower
+        counts are the edges' own unless ``count_keys``/``counts`` (any
+        order) are given.
+
+        The two words of a key are read as views, and ``keys`` is let go
+        once the rows are found: past it, every temporary is one ``int32``
+        or flag an edge. Pass the only reference to ``keys``.
+        """
+        keys.sort()
+        if len(keys) > 1:
+            repeat = keys[1:] == keys[:-1]
+            if repeat.any():
+                keys = keys[np.concatenate(([True], ~repeat))]
+            del repeat
+        words = keys.view(np.int32).reshape(-1, 2)
+        src = words[:, 1 - _LOW_WORD]
+        starts, degrees = _runs(src)
+        users = src[starts]
+        # a row lists its startups, then its users: its first user edge
+        # is the first key at or above (user, is_user=1, dst_id=0)
+        first_user = np.searchsorted(keys, (users.astype(np.int64) << 32)
+                                     | _USER_BIT)
+        # is_user * 2**31 + dst_id: negative for a followed user
+        targets = words[:, _LOW_WORD].copy()
+        del keys, words, src
+        is_user = targets < 0
+        sides = [targets[~is_user], targets[is_user]]
+        del targets, is_user
+        graphs = []
+        for ids, degree in zip(sides, (first_user - starts,
+                                       starts + degrees - first_user)):
+            ids &= _ID_MASK
+            graphs.append(CSR(np.concatenate(([0], np.cumsum(degree))),
+                              ids, _ID_LIMIT))
+        del sides
         if count_keys is None:
-            keys = np.concatenate((startups.indices, followed.indices)
-                                  ).astype(np.int64) * 2
-            keys[startups.num_edges:] += 1
-            count_keys, counts = np.unique(keys, return_counts=True)
-        else:
-            order = np.argsort(count_keys, kind="stable")
-            count_keys, counts = (np.asarray(count_keys)[order],
-                                  np.asarray(counts)[order])
-        return cls(users, startups, followed, count_keys, counts)
+            count_keys, counts = map(np.concatenate, zip(*(
+                _target_counts(graph.indices, code)
+                for code, graph in enumerate(graphs))))
+        order = np.argsort(count_keys, kind="stable")
+        count_keys, counts = (np.asarray(count_keys)[order],
+                              np.asarray(counts)[order])
+        return cls(users, *graphs, count_keys, counts)
 
     @classmethod
     def from_rows(cls, rows: Dict[int, Iterable[Tuple[str, int]]],
@@ -185,14 +216,14 @@ class FollowIndex:
                   = None) -> "FollowIndex":
         """From ``user → [(dst_type, dst_id)]`` rows (and, if given,
         ``(dst_type, dst_id) → count``; else the rows' own counts)."""
-        src, dst_is_user, dst_ids = np.array(
-            [(src, *_target(dst_type, dst_id)) for src, row in rows.items()
-             for dst_type, dst_id in row], dtype=np.int64).reshape(-1, 3).T
+        keys = np.array([_edge_key(src, *_target(dst_type, dst_id))
+                         for src, row in rows.items()
+                         for dst_type, dst_id in row], dtype=np.int64)
         if follower_counts is None:
-            return cls.from_edges(src, dst_is_user, dst_ids)
-        keys = [2 * dst_id + code for code, dst_id
-                in (_target(*target) for target in follower_counts)]
-        return cls.from_edges(src, dst_is_user, dst_ids, keys,
+            return cls._from_keys(keys)
+        count_keys = [2 * dst_id + code for code, dst_id
+                      in (_target(*target) for target in follower_counts)]
+        return cls._from_keys(keys, count_keys,
                               list(follower_counts.values()))
 
     @classmethod
@@ -201,21 +232,14 @@ class FollowIndex:
         """Index a landed ``follow_edges`` dataset, counting its records
         per part into ``part_records``.
 
-        Each part is decoded once into three columns (``int32`` ids);
-        no per-edge Python object outlives its part, and the part columns
-        go before the index is built. A record whose ``dst_type`` is
-        neither ``startup`` nor ``user``, or whose ``src_user`` or
-        ``dst_id`` is not in ``[0, 2**31)``, raises :class:`StorageError`
-        naming the part and the line.
+        Each part is decoded once into one ``int64`` key per edge,
+        appended to one growing buffer; no per-edge Python object
+        outlives its part. A record whose ``dst_type`` is neither
+        ``startup`` nor ``user``, or whose ``src_user`` or ``dst_id`` is
+        not in ``[0, 2**31)``, raises :class:`StorageError` naming the
+        part and the line.
         """
-        columns = []
-        for path in _parts_of(dfs, directory):
-            part = _follow_part(path, dfs.read(path).decode("utf-8"))
-            part_records[path] = len(part[0])
-            columns.append(part)
-        src, dst_is_user, dst_ids = map(np.concatenate, zip(*columns))
-        del columns
-        return cls.from_edges(src, dst_is_user, dst_ids)
+        return cls._from_keys(_follow_keys(dfs, directory, part_records))
 
     @classmethod
     def from_doc(cls, doc: Dict[str, Dict]) -> "FollowIndex":
@@ -304,26 +328,47 @@ class FollowIndex:
         """The persisted form: ``follows_out`` maps a decimal user id to
         its ``[[dst_type, dst_id], …]`` row, ``follower_counts`` maps
         ``"dst_type:dst_id"`` to its count."""
+        return {"follows_out": self.follows_out_doc(),
+                "follower_counts": self.follower_counts_doc()}
+
+    def follows_out_doc(self) -> Dict[str, List[List]]:
+        """:meth:`to_doc`'s ``follows_out``, built alone."""
         (c_ids, c_at), (u_ids, u_at) = (
             (graph.indices.tolist(), graph.indptr.tolist())
             for graph in (self._startups, self._followed))
-        follows_out = {
+        return {
             str(uid): ([["startup", i] for i in c_ids[c0:c1]]
                        + [["user", i] for i in u_ids[u0:u1]])
             for uid, c0, c1, u0, u1 in zip(self._users.tolist(), c_at,
                                            c_at[1:], u_at, u_at[1:])}
-        follower_counts = {
-            f"{FOLLOW_TYPES[key & 1]}:{key >> 1}": count
-            for key, count in zip(self._count_keys.tolist(),
-                                  self._counts.tolist())}
-        return {"follows_out": follows_out,
-                "follower_counts": follower_counts}
+
+    def follower_counts_doc(self) -> Dict[str, int]:
+        """:meth:`to_doc`'s ``follower_counts``, built alone."""
+        return {f"{FOLLOW_TYPES[key & 1]}:{key >> 1}": count
+                for key, count in zip(self._count_keys.tolist(),
+                                      self._counts.tolist())}
 
 
-def _follow_part(path: str, text: str,
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(src, dst_is_user, dst_ids)`` columns of one follow part, the
-    ids ``int32``; each decoded record dies with its row."""
+def _follow_keys(dfs: MiniDfs, directory: str,
+                 part_records: Dict[str, int]) -> np.ndarray:
+    """The edge keys of every follow part under ``directory``, in one
+    array, counting records per part into ``part_records``.
+
+    The keys go into an ``array("q")``, which grows in place by about
+    1/16 at a time, where joining the parts' arrays would hold every key
+    twice.
+    """
+    keys = array("q")
+    for path in _parts_of(dfs, directory):
+        part = _follow_part(path, dfs.read(path).decode("utf-8"))
+        part_records[path] = len(part)
+        keys.frombytes(memoryview(part).cast("B"))
+    return np.frombuffer(keys, dtype=np.int64)
+
+
+def _follow_part(path: str, text: str) -> np.ndarray:
+    """The edge keys (:func:`_edge_key`) of one follow part; each
+    decoded record dies with its row."""
     rows = np.fromiter(
         ((r["src_user"], _TYPE_CODE.get(r["dst_type"], 255), r["dst_id"])
          for r in map(decode_line, filter(None, text.splitlines()))),
@@ -339,8 +384,35 @@ def _follow_part(path: str, text: str,
             raise StorageError(f"{where}follow record src_user "
                                f"{record['src_user']} is not in [0, 2**31)")
         _target(record["dst_type"], record["dst_id"], where)
-    # copies: a field view would keep the whole row array alive
-    return src.astype(np.int32), codes.copy(), dst_ids.astype(np.int32)
+    keys = src << 32
+    keys += dst_ids
+    keys += codes.astype(np.int64) << 31
+    return keys
+
+
+def _edge_key(src: int, code: int, dst_id: int) -> int:
+    """One edge's key, ``src * 2**32 + code * 2**31 + dst_id``: keys sort
+    by follower, then target type, then target id."""
+    return (src << 32) + (code << 31) + dst_id
+
+
+def _target_counts(ids: np.ndarray, code: int,
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(2 * dst_id + code, edges)`` of each distinct id in ``ids``."""
+    ordered = np.sort(ids)
+    at, counts = _runs(ordered)
+    return 2 * ordered[at].astype(np.int64) + code, counts
+
+
+def _runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(start, length)`` of each run of equal values in the sorted
+    ``values``, as ``int64`` columns."""
+    fresh = np.empty(len(values), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(values[1:], values[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    del fresh
+    return starts, np.diff(starts, append=len(values))
 
 
 def _target(dst_type: str, dst_id: int, where: str = "") -> Tuple[int, int]:
@@ -363,6 +435,87 @@ def _line_number(text: str, index: int) -> int:
     record)."""
     numbers = [n for n, line in enumerate(text.splitlines(), 1) if line]
     return numbers[index]
+
+
+#: an engagement row's fields, in the order its dict lists them: the
+#: company id, three counts and three flags
+ENGAGEMENT_FIELDS = ("company_id", "likes", "tweets", "tw_followers",
+                     "has_facebook", "has_twitter", "success")
+_ENGAGEMENT_COUNTS = ENGAGEMENT_FIELDS[1:4]
+_ENGAGEMENT_FLAGS = ENGAGEMENT_FIELDS[4:]
+
+
+class EngagementRows(Mapping):
+    """company id → engagement summary row, held as id-sorted columns.
+
+    An ``int64`` column for the ids and each count and a ``bool`` column
+    for each flag: 35 bytes a company, where a seven-key dict per company
+    cost ≈ 370. A row's dict (fields in :data:`ENGAGEMENT_FIELDS` order,
+    Python ints and bools) is built on each access, so callers may keep
+    or change it. A look-up bisects the id memoryview.
+    """
+
+    __slots__ = ("_ids", "_columns")
+
+    def __init__(self, ids=(), **columns):
+        ids = np.asarray(ids, dtype=np.int64)
+        order = np.argsort(ids, kind="stable")
+        self._ids = memoryview(ids[order])
+        self._columns = tuple(
+            memoryview(np.asarray(columns.get(name, ()), dtype=dtype)[order])
+            for names, dtype in ((_ENGAGEMENT_COUNTS, np.int64),
+                                 (_ENGAGEMENT_FLAGS, bool))
+            for name in names)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Dict]) -> "EngagementRows":
+        """From row dicts, each with every field of
+        :data:`ENGAGEMENT_FIELDS`."""
+        rows = list(rows)
+        return cls([row["company_id"] for row in rows],
+                   **{name: [row[name] for row in rows]
+                      for name in ENGAGEMENT_FIELDS[1:]})
+
+    def __getitem__(self, cid: int) -> Dict:
+        at = position(self._ids, cid)
+        if at < 0:
+            raise KeyError(cid)
+        return dict(zip(ENGAGEMENT_FIELDS,
+                        (self._ids[at], *(column[at]
+                                          for column in self._columns))))
+
+    def __contains__(self, cid: object) -> bool:
+        try:
+            return position(self._ids, cid) >= 0
+        except TypeError:           # not an id at all
+            return False
+
+    def __iter__(self) -> Iterator[int]:
+        """Company ids, ascending, as Python ints."""
+        return iter(self._ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def total(self, flag: str) -> int:
+        """How many rows have ``flag`` set."""
+        return int(np.count_nonzero(
+            self._columns[ENGAGEMENT_FIELDS.index(flag) - 1]))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(column.nbytes for column in (self._ids, *self._columns))
+
+    def split(self, owner: Callable[[int], int],
+              num_shards: int) -> List["EngagementRows"]:
+        """One table per shard: a row goes to ``owner(company id)``."""
+        ids = np.asarray(self._ids)
+        row_owner = np.fromiter(map(owner, ids.tolist()), np.int64, len(ids))
+        names = ENGAGEMENT_FIELDS[1:]
+        return [EngagementRows(ids[rows], **{
+                    name: np.asarray(column)[rows]
+                    for name, column in zip(names, self._columns)})
+                for rows in (row_owner == sid for sid in range(num_shards))]
 
 
 class NeighborhoodWalk:
@@ -449,7 +602,7 @@ class ServeDataset:
     community_of: Dict[int, int] = field(default_factory=dict)
     community_members: Dict[int, List[int]] = field(default_factory=dict)
     #: company → engagement summary row
-    engagement: Dict[int, Dict] = field(default_factory=dict)
+    engagement: EngagementRows = field(default_factory=EngagementRows)
     #: per-kind precomputed degraded answers (the fallback floor)
     summaries: Dict[str, Dict] = field(default_factory=dict)
 
@@ -514,26 +667,27 @@ class ServeDataset:
             tweets[int(prof["angellist_id"])] = (
                 int(prof.get("statuses_count", 0)),
                 int(prof.get("followers_count", 0)))
-        for cid in ds.company_parts:
-            rounds, _ = ds.funding.get(cid, (0, 0))
-            statuses, followers = tweets.get(cid, (0, 0))
-            ds.engagement[cid] = {
-                "company_id": cid,
-                "likes": likes.get(cid, 0),
-                "tweets": statuses,
-                "tw_followers": followers,
-                "has_facebook": cid in likes,
-                "has_twitter": cid in tweets,
-                "success": rounds > 0,
-            }
+        companies = list(ds.company_parts)
+
+        def column(value: Callable[[int], Any], dtype) -> np.ndarray:
+            return np.fromiter(map(value, companies), dtype, len(companies))
+        ds.engagement = EngagementRows(
+            companies,
+            likes=column(lambda cid: likes.get(cid, 0), np.int64),
+            tweets=column(lambda cid: tweets.get(cid, (0, 0))[0], np.int64),
+            tw_followers=column(lambda cid: tweets.get(cid, (0, 0))[1],
+                                np.int64),
+            has_facebook=column(likes.__contains__, bool),
+            has_twitter=column(tweets.__contains__, bool),
+            success=column(lambda cid: ds.funding.get(cid, (0, 0))[0] > 0,
+                           bool))
 
         ds._build_summaries()
         return ds
 
     def _build_summaries(self) -> None:
         num_companies = len(self.company_parts)
-        successes = sum(1 for row in self.engagement.values()
-                        if row["success"])
+        successes = self.engagement.total("success")
         self.summaries = {
             KIND_COMPANY: {
                 "total_companies": num_companies,
@@ -553,10 +707,8 @@ class ServeDataset:
                 "covered_investors": len(self.community_of)},
             KIND_ENGAGEMENT: {
                 "tracked_companies": len(self.engagement),
-                "with_facebook": sum(1 for r in self.engagement.values()
-                                     if r["has_facebook"]),
-                "with_twitter": sum(1 for r in self.engagement.values()
-                                    if r["has_twitter"])},
+                "with_facebook": self.engagement.total("has_facebook"),
+                "with_twitter": self.engagement.total("has_twitter")},
         }
 
     # ---------------------------------------------------------------- queries
@@ -618,8 +770,8 @@ class ServeDataset:
         if kind == KIND_ENGAGEMENT:
             row = self.engagement.get(key)
             return QueryAnswer(
-                value=dict(row) if row else {"company_id": key,
-                                             "known": False},
+                value=row if row is not None else {"company_id": key,
+                                                   "known": False},
                 units=1)
         raise ConfigError(f"unknown query kind {kind!r}; "
                           f"expected one of {QUERY_KINDS}")

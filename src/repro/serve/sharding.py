@@ -38,7 +38,8 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.dfs.filesystem import MiniDfs
 from repro.net.faults import (FAULT_KILL_SHARD, FAULT_PARTITION_SHARD,
@@ -47,8 +48,9 @@ from repro.serve.autoscale import AutoscaleConfig, Autoscaler
 from repro.serve.dataset import (KIND_COMMUNITY, KIND_COMPANY,
                                  KIND_ENGAGEMENT, KIND_INVESTOR,
                                  KIND_NEIGHBORHOOD, MAX_IDS_IN_ANSWER,
-                                 NO_TARGETS, FollowIndex, NeighborhoodWalk,
-                                 ServeDataset, SpanIndex, Targets)
+                                 NO_TARGETS, EngagementRows, FollowIndex,
+                                 NeighborhoodWalk, ServeDataset, SpanIndex,
+                                 Targets)
 from repro.serve.health import (EVENT_DEGRADED, EVENT_OK, HealthMonitor)
 from repro.serve.metrics import (SHARD_DEAD, SHARD_DEADLINE, SHARD_OK,
                                  SHARD_PARTITIONED, STATUS_PARTIAL)
@@ -137,8 +139,10 @@ def split_dataset(dataset: ServeDataset,
         shards[shard_of(cid, num_shards)].funding[cid] = info
     for cid, investors in dataset.backers.items():
         shards[shard_of(cid, num_shards)].backers[cid] = investors
-    for cid, row in dataset.engagement.items():
-        shards[shard_of(cid, num_shards)].engagement[cid] = row
+    engagement = dataset.engagement.split(
+        lambda key: shard_of(key, num_shards), num_shards)
+    for shard, rows in zip(shards, engagement):
+        shard.engagement = rows
     for uid, part in dataset.user_parts.items():
         shards[shard_of(uid, num_shards)].user_parts[uid] = part
     for cid, offset, length in dataset.company_spans:
@@ -162,30 +166,59 @@ def split_dataset(dataset: ServeDataset,
     return shards
 
 
+#: one section value as ``json.dumps(value, sort_keys=True)`` spells it
+_SECTION_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _object_json(keys: Iterable[str], value: Callable[[str], Any]) -> str:
+    """``json.dumps({key: value(key) for key in keys}, sort_keys=True)``
+    with one value built and encoded at a time."""
+    return "{%s}" % ", ".join(
+        f"{json.dumps(key)}: {_SECTION_ENCODER.encode(value(key))}"
+        for key in sorted(keys))
+
+
 def shard_index_json(shard: ServeDataset) -> str:
-    """Deterministic JSON codec for persisting one shard's index."""
-    payload = {
-        "company_spans": [list(column) for column
-                          in shard.company_spans.columns()],
-        "user_spans": [list(column) for column
-                       in shard.user_spans.columns()],
-        "company_parts": {str(k): v
-                          for k, v in shard.company_parts.items()},
-        "company_names": {str(k): v
-                          for k, v in shard.company_names.items()},
-        "funding": {str(k): list(v) for k, v in shard.funding.items()},
-        "backers": {str(k): v for k, v in shard.backers.items()},
-        "engagement": {str(k): v for k, v in shard.engagement.items()},
-        "user_parts": {str(k): v for k, v in shard.user_parts.items()},
-        "portfolio": {str(k): v for k, v in shard.portfolio.items()},
-        **shard.follows_out.to_doc(),
-        "community_of": {str(k): v
-                         for k, v in shard.community_of.items()},
-        "community_members": {str(k): v for k, v
-                              in shard.community_members.items()},
-        "part_records": dict(shard.part_records),
+    """Deterministic JSON codec for persisting one shard's index.
+
+    Byte for byte ``json.dumps(payload, sort_keys=True)`` of the payload
+    whose sections are listed below, but the payload is never built
+    whole: each section is built, encoded and dropped in turn, in
+    sorted-key order, and the two sections of per-key containers (the
+    follow rows, the engagement rows) are encoded a row at a time.
+    """
+    follows, engagement = shard.follows_out, shard.engagement
+    sections = {
+        "company_spans": lambda: [list(column) for column
+                                  in shard.company_spans.columns()],
+        "user_spans": lambda: [list(column) for column
+                               in shard.user_spans.columns()],
+        "company_parts": lambda: {str(k): v for k, v
+                                  in shard.company_parts.items()},
+        "company_names": lambda: {str(k): v for k, v
+                                  in shard.company_names.items()},
+        "funding": lambda: {str(k): list(v)
+                            for k, v in shard.funding.items()},
+        "backers": lambda: {str(k): v for k, v in shard.backers.items()},
+        "user_parts": lambda: {str(k): v
+                               for k, v in shard.user_parts.items()},
+        "portfolio": lambda: {str(k): v
+                              for k, v in shard.portfolio.items()},
+        "follower_counts": follows.follower_counts_doc,
+        "community_of": lambda: {str(k): v
+                                 for k, v in shard.community_of.items()},
+        "community_members": lambda: {
+            str(k): v for k, v in shard.community_members.items()},
+        "part_records": lambda: dict(shard.part_records),
     }
-    return json.dumps(payload, sort_keys=True)
+    encoded = {name: lambda build=build: _SECTION_ENCODER.encode(build())
+               for name, build in sections.items()}
+    encoded["follows_out"] = lambda: _object_json(
+        map(str, follows), lambda key: follows.get(int(key)))
+    encoded["engagement"] = lambda: _object_json(
+        map(str, engagement), lambda key: engagement[int(key)])
+    return "{%s}" % ", ".join(f"{json.dumps(name)}: {encode()}"
+                              for name, encode in sorted(encoded.items()))
 
 
 def shard_index_from_json(text: str) -> ServeDataset:
@@ -198,7 +231,7 @@ def shard_index_from_json(text: str) -> ServeDataset:
                            for k, v in raw["company_names"].items()}
     shard.funding = {int(k): tuple(v) for k, v in raw["funding"].items()}
     shard.backers = {int(k): v for k, v in raw["backers"].items()}
-    shard.engagement = {int(k): v for k, v in raw["engagement"].items()}
+    shard.engagement = EngagementRows.from_rows(raw["engagement"].values())
     shard.user_parts = {int(k): v for k, v in raw["user_parts"].items()}
     shard.company_spans = SpanIndex(*raw["company_spans"])
     shard.user_spans = SpanIndex(*raw["user_spans"])

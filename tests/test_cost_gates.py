@@ -29,6 +29,7 @@ concatenation.
 
 import argparse
 import dataclasses
+import gc
 import inspect
 import json.encoder
 import operator
@@ -50,18 +51,19 @@ from repro.community.coda import CoDA
 from repro.core.platform import ExploratoryPlatform, PlatformConfig
 from repro.dfs import jsonlines
 from repro.dfs.filesystem import MiniDfs
-from repro.dfs.jsonlines import (encode_record, iter_json_dataset,
-                                 write_json_dataset)
+from repro.dfs.jsonlines import (decode_lines, encode_record,
+                                 iter_json_dataset, write_json_dataset)
 from repro.dfs.upsert import UpsertDataset
 from repro.engine.context import SparkLiteContext
-from repro.engine.metrics import STAGE_SHUFFLE, STAGE_TASK
+from repro.engine.metrics import STAGE_NARROW, STAGE_SHUFFLE, STAGE_TASK
 from repro.engine.planner import DEFAULT_SAMPLE_ROWS
 from repro.graph.bipartite import BipartiteGraph
 from repro.metrics.shared import sampled_shared_sizes
 from repro.net.http import Route
 from repro.serve.alerting import Notification
-from repro.serve.dataset import ServeDataset
+from repro.serve.dataset import FollowIndex, ServeDataset
 from repro.serve.outbox import DeliveryOutbox, Subscriber
+from repro.serve.sharding import ShardConfig, ShardedQueryService
 from repro.sources.angellist import AngelListServer
 from repro.util.clock import SimClock
 from repro.util.rng import RngStream
@@ -102,18 +104,35 @@ def _passing_edges(platform):
                and int(e["src_user"]) in investors)
 
 
+def _passing_investors_per_part(platform):
+    investors = {int(u["id"]) for u in iter_json_dataset(
+        platform.dfs, "/crawl/angellist/users")
+        if "investor" in u.get("roles", [])}
+    return sum(len({int(e["src_user"]) for e in decode_lines(
+                        platform.dfs.read_text(path))
+                    if e["dst_type"] == "startup"
+                    and int(e["src_user"]) in investors})
+               for path in platform.dfs.glob_parts(FOLLOW_EDGES))
+
+
 def test_investor_activity_streams_follow_edges_through_the_filter(
         investor_activity_run):
     platform, (users_job, edges_job), _before, _after = investor_activity_run
     stages = [(s.name, s.kind) for s in edges_job.stages]
-    # the scan and the filter run inside the read; the projection is
-    # the first thing that exists as a partition
-    assert stages == [("map", STAGE_TASK), ("reduceByKey", STAGE_SHUFFLE)]
+    # the scan and the filter run inside the read; the projection (one
+    # id per passing edge) is the first thing that exists as a partition,
+    # and each partition counts its own ids
+    assert stages == [("map", STAGE_TASK), ("mapPartitions", STAGE_NARROW),
+                      ("reduceByKey", STAGE_SHUFFLE)]
     assert (edges_job.pushed_filters, edges_job.pushed_projections) == (1, 1)
     passing = _passing_edges(platform)
     total = sum(1 for _ in iter_json_dataset(platform.dfs, FOLLOW_EDGES))
     assert 0 < passing < total
     assert edges_job.stages[0].records_out == passing
+    # one (investor, count) pair per partition and investor reaches the
+    # exchange, where an (investor, 1) pair per passing edge did
+    pairs = _passing_investors_per_part(platform)
+    assert edges_job.stages[1].records_out == pairs < passing / 2
     assert edges_job.scan_bytes_skipped > 0
     # same for the users job: two fused ops, one stage
     assert [s.name for s in users_job.stages] == ["map"]
@@ -577,6 +596,64 @@ def test_building_the_serve_dataset_peaks_under_2_6_mb(crawled_platform):
     assert peak < 2_600_000
 
 
+@pytest.fixture(scope="module")
+def small_world_dfs():
+    """The DFS of a crawled 1/80 world, the serve benchmark's scale, where
+    the 5,000-record parts no longer dwarf the follow index."""
+    platform = ExploratoryPlatform(generate_world(WorldConfig.small(seed=7)))
+    platform.run_full_crawl()
+    yield platform.dfs
+    platform.close()
+
+
+def _traced(build):
+    """``(result, bytes it keeps, peak bytes)`` of ``build()``."""
+    build()                                     # first-use caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_the_follow_index_build_peaks_under_twice_what_it_keeps(small_world_dfs):
+    index, held, peak = _traced(lambda: FollowIndex.from_parts(
+        small_world_dfs, FOLLOW_EDGES, {}))
+    assert index.num_edges > 100_000
+    # np.unique, int64 keys per side and the part columns beside their
+    # concatenation peaked at 4.9x what the index keeps (7.05 MB for
+    # 1.43 MB); one key buffer let go before the counts peaks at 1.6x
+    assert peak <= 2 * held
+
+
+def test_booting_four_shards_peaks_under_half_again_what_it_keeps(
+        small_world_dfs):
+    dataset = ServeDataset.build(small_world_dfs)
+    _, held, peak = _traced(lambda: ShardedQueryService(
+        dataset, small_world_dfs, shard_config=ShardConfig(num_shards=4)))
+    # encoding each shard's whole nested payload at once peaked 9.6 MB
+    # over the 10.4 MB the boot keeps (shard slices and persisted docs);
+    # a section, and a follow or engagement row, at a time: 3.3 MB
+    assert peak - held <= held / 2
+
+
+def test_the_engagement_rows_hold_under_64_bytes_a_company(crawled_platform):
+    ServeDataset.build(crawled_platform.dfs)    # imports, first-use caches
+    tracemalloc.start()
+    try:
+        engagement = ServeDataset.build(crawled_platform.dfs).engagement
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(engagement) > 1_000
+    # id-sorted columns hold 35 bytes a company; a seven-key dict per
+    # company held about ten times that
+    assert held < 64 * len(engagement)
+
+
 # ---------------------------------------------------------------- the world
 def test_the_world_holds_at_most_16_bytes_a_follow_edge(tiny_world):
     follows = tiny_world.follows
@@ -663,14 +740,16 @@ def test_importing_the_package_leaves_scipy_stats_unloaded():
             "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
             "    if not module.name.endswith('__main__'):\n"
             "        importlib.import_module(module.name)\n"
-            "print('scipy.stats' in sys.modules, 'scipy.sparse' in sys.modules)")
+            "print('scipy.stats' in sys.modules,\n"
+            "      any(name.partition('.')[0] == 'scipy' for name in sys.modules))")
     src = str(Path(sys.modules["repro"].__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    # scipy.sparse stays eager: CoDA's sweeps need it inside a timed run
-    assert done.stdout.split() == ["False", "True"]
+    # no scipy module at all: CoDA's sweeps sum over the CSR rows with
+    # numpy (scipy.sparse alone cost ~15 MB in every process)
+    assert done.stdout.split() == ["False", "False"]
 
 
 def test_the_global_pair_sample_peaks_under_a_third_of_the_one_shot_probe():

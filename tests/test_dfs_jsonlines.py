@@ -1,9 +1,11 @@
 """Tests for JSON-lines datasets on the DFS."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dfs.filesystem import MiniDfs
-from repro.dfs.jsonlines import (JsonLinesWriter, iter_json_dataset,
+from repro.dfs.jsonlines import (JsonLinesWriter, LineTemplate,
+                                 encode_record, iter_json_dataset,
                                  list_partitions, read_json_dataset,
                                  write_json_dataset)
 from repro.util.errors import StorageError
@@ -68,3 +70,49 @@ class TestDatasetHelpers:
     def test_invalid_partitions(self, dfs):
         with pytest.raises(StorageError):
             write_json_dataset(dfs, "/d", [{}], partitions=0)
+
+
+# ------------------------------------------------------- line templates
+_INTS = st.integers(min_value=-2 ** 63, max_value=2 ** 63)
+_TEXT = st.text(max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(constants=st.dictionaries(_TEXT, st.one_of(_TEXT, _INTS, st.none(),
+                                                  st.booleans()),
+                                 max_size=3),
+       ints=st.dictionaries(_TEXT, _INTS, min_size=1, max_size=3))
+def test_a_template_line_is_the_encoded_record(constants, ints):
+    ints = {k: v for k, v in ints.items() if k not in constants}
+    if not ints:
+        return
+    fields = sorted(ints)
+    template = LineTemplate(constants, fields)
+    assert template.line(*(ints[k] for k in fields)) \
+        == encode_record({**constants, **ints})
+
+
+@settings(max_examples=30, deadline=None)
+@given(pages=st.lists(st.lists(st.integers(0, 2 ** 31 - 1), max_size=7),
+                      max_size=8),
+       per_part=st.integers(1, 5))
+def test_write_lines_flushes_the_parts_write_does(pages, per_part):
+    template = LineTemplate({"dst_type": "user"}, ("dst_id", "src_user"))
+    by_record, by_line = MiniDfs(num_datanodes=3), MiniDfs(num_datanodes=3)
+    with JsonLinesWriter(by_record, "/d", records_per_part=per_part) as w:
+        for src, page in enumerate(pages):
+            for dst in page:
+                w.write({"src_user": src, "dst_type": "user",
+                         "dst_id": dst})
+    with JsonLinesWriter(by_line, "/d", records_per_part=per_part) as w:
+        for src, page in enumerate(pages):
+            w.write_lines([template.line(dst, src) for dst in page])
+    parts = by_record.glob_parts("/d")
+    assert by_line.glob_parts("/d") == parts
+    assert [by_line.read(p) for p in parts] == [by_record.read(p)
+                                                 for p in parts]
+
+
+def test_template_fields_must_be_in_key_order():
+    with pytest.raises(ValueError):
+        LineTemplate({}, ("src_user", "dst_id"))

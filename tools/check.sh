@@ -35,14 +35,13 @@ if grep -rnF --include='*.py' -e 'separators=(",", ":")' -e 'json.loads(line' \
     exit 1
 fi
 
-echo "== scipy.stats on first use =="
-# importing scipy.stats adds ~50 MB to every process's resident set, and
-# only two p-value helpers need it: they import it when called (as
-# norm and gaussian_kde are), never at module level
-if grep -rnE --include='*.py' \
-        -e '^(from scipy\.stats import|import scipy\.stats)' \
-        -e '^from scipy import .*\bstats\b' src/repro; then
-    echo "module-level scipy.stats import under src/repro" >&2
+echo "== scipy on first use =="
+# importing scipy.stats adds ~50 MB to every process's resident set and
+# scipy.sparse ~15 MB; only the p-value helpers and the KDE need scipy,
+# and they import it when called, never at module level (CoDA's sparse
+# products are numpy segment sums over the CSR rows)
+if grep -rnE --include='*.py' -e '^(from|import) scipy\b' src/repro; then
+    echo "module-level scipy import under src/repro" >&2
     exit 1
 fi
 
@@ -147,7 +146,7 @@ echo "== pytest (tier 1) =="
 # chunk and pickles only the stride sample to size itself (<= 256 hashes,
 # <= 512 rows on 60,000); an ingest day reads at most twice the deltas it
 # lands, with log traffic flat over 64 days; nothing held without being
-# used (scipy.stats unloaded by an import, one key string per scanned
+# used (no scipy module loaded by an import, one key string per scanned
 # part, the Figure 4 sample probed in chunks, no private cache left by
 # the engagement table, a follow-index build under 2.6 MB on the tiny
 # world); and the knob ratchets (PlatformConfig fields, SparkLiteContext
