@@ -16,7 +16,8 @@ def test_fig3_investor_cdf(benchmark, bench_platform, bench_graph):
 
     activity = benchmark.pedantic(
         lambda: compute_investor_activity(bench_platform.sc,
-                                          bench_platform.dfs, bench_graph),
+                                          bench_platform.dfs, bench_graph,
+                                          bench_platform.follow_index()),
         rounds=3, iterations=1)
 
     scale = bench_platform.world.config.scale

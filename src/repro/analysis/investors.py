@@ -8,13 +8,11 @@ investments."
 
 from __future__ import annotations
 
-import operator
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
 
 from repro.engine.context import SparkLiteContext
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.follows import FollowIndex
 from repro.metrics.ecdf import EmpiricalCDF
 from repro.viz.ascii import ascii_series
 
@@ -36,32 +34,22 @@ class InvestorActivity:
 
 
 def compute_investor_activity(sc: SparkLiteContext, dfs,
-                              graph: BipartiteGraph,
+                              graph: BipartiteGraph, follows: FollowIndex,
                               angellist_root: str = "/crawl/angellist",
                               ) -> InvestorActivity:
-    """Distribution of investments per investor + mean follow fan-out."""
+    """Distribution of investments per investor + mean follow fan-out:
+    the *investor-role* users' startup degrees in ``follows``, summed."""
     degrees = graph.out_degrees()
     if degrees.size == 0:
         raise ValueError("the investment graph has no investors")
     cdf = EmpiricalCDF(degrees.tolist())
 
-    # Mean follows per *investor-role* user, from the crawled follow edges.
     investor_ids = set(
         sc.json_dataset(dfs, f"{angellist_root}/users")
         .filter(lambda u: "investor" in u.get("roles", []))
         .map(lambda u: int(u["id"]))
         .collect())
-    # the read keeps one id per passing edge, and each partition ships
-    # one (investor, count) pair per investor it saw
-    follow_counts: Dict[int, int] = (
-        sc.json_dataset(dfs, f"{angellist_root}/follow_edges")
-        .filter(lambda e: e["dst_type"] == "startup"
-                and int(e["src_user"]) in investor_ids)
-        .map(lambda e: int(e["src_user"]))
-        .map_partitions(_counted)
-        .reduce_by_key(operator.add)
-        .collect_as_map())
-    mean_follows = (sum(follow_counts.values()) / len(investor_ids)
+    mean_follows = (follows.startup_follows(investor_ids) / len(investor_ids)
                     if investor_ids else 0.0)
 
     return InvestorActivity(
@@ -71,8 +59,3 @@ def compute_investor_activity(sc: SparkLiteContext, dfs,
         max_investments=int(cdf.max),
         mean_follows_per_investor=mean_follows,
     )
-
-
-def _counted(ids: Iterable[int]) -> List[Tuple[int, int]]:
-    """``(id, occurrences)`` for each distinct id of one partition."""
-    return list(Counter(ids).items())

@@ -17,6 +17,7 @@ from repro.engine.cache import STORAGE_DFS, STORAGE_MEMORY
 from repro.engine.context import SparkLiteContext
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.build import build_investor_graph
+from repro.graph.follows import FollowIndex
 from repro.net.faults import FaultPlan
 from repro.net.latency import LatencyModel
 from repro.core.plugins import PluginRegistry
@@ -182,6 +183,7 @@ class ExploratoryPlatform:
         self._ingest_dynamics: Optional[Any] = None
         self.crawl_summary: Optional[CrawlSummary] = None
         self._graph: Optional[BipartiteGraph] = None
+        self._follows: Optional[FollowIndex] = None
         self._serve_dataset: Optional[ServeDataset] = None
         _register_builtin_plugins(self.plugins)
 
@@ -272,9 +274,9 @@ class ExploratoryPlatform:
         "/crawl/twitter/profiles",
     )
 
-    #: the landed datasets more than one pipeline job reads; users,
-    #: investments and follow_edges have one reader each, so caching
-    #: them would only hold a second copy of 90 % of the crawl
+    #: the landed datasets more than one pipeline job reads; users and
+    #: investments have one reader each and follow_edges is no engine
+    #: scan, so caching them would only hold a second copy of the crawl
     PERSISTED_DATASET_DIRS = (
         "/crawl/angellist/startups",        # 3: engagement, prediction, facts
         "/crawl/crunchbase/organizations",  # 3: graph, engagement, prediction
@@ -304,6 +306,15 @@ class ExploratoryPlatform:
         if self._graph is None:
             self._graph = build_investor_graph(self.sc, self.dfs)
         return self._graph
+
+    def follow_index(self) -> FollowIndex:
+        """The crawled follow edges as one columnar index (memoized):
+        Figure 3's follow count and the serve tier read the same one."""
+        self.require_crawled()
+        if self._follows is None:
+            self._follows = FollowIndex.from_parts(
+                self.dfs, "/crawl/angellist/follow_edges")
+        return self._follows
 
     # ------------------------------------------------------------- ingestion
     def ingest_pipeline(self, root: str = "/ingest",
@@ -378,7 +389,8 @@ class ExploratoryPlatform:
         self.require_crawled()
         if self._serve_dataset is None:
             self._serve_dataset = ServeDataset.build(
-                self.dfs, community_seed=community_seed)
+                self.dfs, community_seed=community_seed,
+                follows=self.follow_index())
         return self._serve_dataset
 
     def query_service(self, config: Optional[ServeConfig] = None,
@@ -447,7 +459,8 @@ def _register_builtin_plugins(registry: PluginRegistry) -> None:
     registry.register(
         "investor_activity",
         lambda platform, **kw: compute_investor_activity(
-            platform.sc, platform.dfs, platform.investor_graph(), **kw),
+            platform.sc, platform.dfs, platform.investor_graph(),
+            platform.follow_index(), **kw),
         "Figure 3: CDF of investments per investor")
     registry.register(
         "concentration",

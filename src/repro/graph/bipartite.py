@@ -151,13 +151,3 @@ class BipartiteGraph:
         investors = np.repeat(self.investor_ids, np.asarray(self.out.degree))
         return zip(investors.tolist(),
                    self.company_ids[self.out.indices].tolist())
-
-    def to_networkx(self):
-        """A ``networkx.DiGraph`` view (for centrality features)."""
-        import networkx as nx
-        graph = nx.DiGraph()
-        graph.add_nodes_from((("i", u) for u in self.investors), bipartite=0)
-        graph.add_nodes_from((("c", c) for c in self.companies), bipartite=1)
-        graph.add_edges_from((("i", u), ("c", c)) for u, c in self.edges())
-        return graph
-

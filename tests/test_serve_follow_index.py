@@ -13,8 +13,8 @@ import json
 import pytest
 
 from repro.dfs.jsonlines import JsonLinesWriter, iter_json_dataset
-from repro.serve.dataset import (KIND_NEIGHBORHOOD, FollowIndex,
-                                 ServeDataset)
+from repro.graph.follows import FollowIndex
+from repro.serve.dataset import KIND_NEIGHBORHOOD, ServeDataset
 from repro.serve.sharding import shard_of, split_dataset
 from repro.util.errors import StorageError
 

@@ -35,13 +35,26 @@ if grep -rnF --include='*.py' -e 'separators=(",", ":")' -e 'json.loads(line' \
     exit 1
 fi
 
-echo "== scipy on first use =="
+echo "== scipy on first use, networkx never =="
 # importing scipy.stats adds ~50 MB to every process's resident set and
 # scipy.sparse ~15 MB; only the p-value helpers and the KDE need scipy,
 # and they import it when called, never at module level (CoDA's sparse
-# products are numpy segment sums over the CSR rows)
-if grep -rnE --include='*.py' -e '^(from|import) scipy\b' src/repro; then
-    echo "module-level scipy import under src/repro" >&2
+# products are numpy segment sums over the CSR rows). networkx is a test
+# dependency only: no import of it under src/repro, indented or not
+if grep -rnE --include='*.py' -e '^(from|import) scipy\b' \
+        -e '^[[:space:]]*(from|import) networkx\b' src/repro; then
+    echo "module-level scipy or any networkx import under src/repro" >&2
+    exit 1
+fi
+
+echo "== one decode of the follow edges =="
+# repro.graph.follows.FollowIndex.from_parts is the one reader of the
+# landed follow_edges parts (the platform builds it once; Figure 3's
+# follow count and the serve tier share it); an engine scan of them
+# decodes every follow record a second time
+if grep -rnE --include='*.py' -e 'json_(dataset|files)\([^)]*follow_edges' \
+        src/repro; then
+    echo "follow_edges read through an engine scan under src/repro" >&2
     exit 1
 fi
 
@@ -60,15 +73,19 @@ if grep -nF -e 'json.loads(self.dfs.read_text(' -e 'MANIFEST' \
 fi
 
 echo "== one follow-index layout =="
-# repro.serve.dataset.FollowIndex owns the follow graph's layout (sorted
+# repro.graph.follows.FollowIndex owns the follow graph's layout (sorted
 # user ids, two CSR graphs of followed startups and users, sorted count
-# keys); a serve module that builds (dst_type, dst_id) tuples again, or
-# reads the index's arrays, is a second layout waiting to drift
+# keys); a reader of it (the serve tier, the analyses, the platform) that
+# builds (dst_type, dst_id) tuples again, keeps a follower_counts dict
+# (the "follower_counts" key of a shard doc and the index's
+# follower_counts_doc() are not one), or reads the index's arrays, is a
+# second layout waiting to drift
 if grep -rnE --include='*.py' -e 'dst_type, dst_id' \
-        -e '\("(user|startup)", ' -e 'follower_counts' \
+        -e '(^|[^A-Za-z_.])\("(user|startup)", ' \
+        -e '\bfollower_counts\b([^"]|$)' \
         -e '\._(users|startups|followed|count_keys)\b' \
-        src/repro/serve | grep -v '^src/repro/serve/dataset\.py:'; then
-    echo "follow-index layout handled outside src/repro/serve/dataset.py" >&2
+        src/repro/serve src/repro/analysis src/repro/core; then
+    echo "follow-index layout handled outside src/repro/graph/follows.py" >&2
     exit 1
 fi
 
@@ -126,8 +143,9 @@ echo "== pytest (tier 1) =="
 # not found"), and pytest still collects each file once.
 #
 # Counted cost gates, with the identities they lean on: investor_activity
-# streams follow edges through its filter (no scan stage, no cache
-# spill), a request is matched only against templates of its own shape,
+# and the serve build read each follow part once and share one follow
+# index (its degree sum held against a brute-force count), with no cache
+# spill; a request is matched only against templates of its own shape,
 # encode_record builds no encoder per record; an ingest day draws per
 # raising company and walks neither the world per closed round, the file
 # table per listdir nor the frontier per claimed slice (held with
@@ -148,8 +166,8 @@ echo "== pytest (tier 1) =="
 # lands, with log traffic flat over 64 days; nothing held without being
 # used (no scipy module loaded by an import, one key string per scanned
 # part, the Figure 4 sample probed in chunks, no private cache left by
-# the engagement table, a follow-index build under 2.6 MB on the tiny
-# world); and the knob ratchets (PlatformConfig fields, SparkLiteContext
+# the engagement table, a serve build under 2.6 MB and a follow-index
+# build under 2.5x what it keeps on the tiny world); and the knob ratchets (PlatformConfig fields, SparkLiteContext
 # parameters, CLI options).
 #
 # Contracts: results invariant across backends (test_engine_backends), the token pool
@@ -169,7 +187,7 @@ gate_modules=(
     tests/test_world_dynamics_differential.py tests/test_dfs_namespace_ops.py
     tests/test_community_coda_differential.py tests/test_durable.py
     tests/test_serve_follow_index.py tests/test_world_follows_differential.py
-    tests/test_graph_bipartite_differential.py
+    tests/test_graph_bipartite_differential.py tests/test_graph_follows.py
     tests/test_engine_backends.py tests/test_crawl_tokens.py
     tests/test_community_coda.py tests/test_engine_shuffle.py
     tests/test_engine_recovery.py tests/test_serve_overload.py
